@@ -417,20 +417,6 @@ func benchArmFixture(b *testing.B) (*Schema, *Database) {
 	return schema, db
 }
 
-func BenchmarkRidgeObserve(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	dim := 128
-	rs := linalg.NewRidgeState(dim, 0.25)
-	x := linalg.NewVector(dim)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs.Observe(x, 1.0)
-	}
-}
-
 func BenchmarkC2UCBScores(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	dim := 128

@@ -19,8 +19,6 @@
 //	experiments -exp htap            # HTAP regime, all online baselines
 //	experiments -exp all -parallel 1 # sequential reference run
 //	experiments -exp all -progress   # per-cell completion lines on stderr
-//	experiments -exp fig2 -ridge chol # factored ridge backend, same output
-//	experiments -exp fig2 -score-parallel 4 # parallel arm scoring, same output
 package main
 
 import (
@@ -35,9 +33,6 @@ import (
 
 var (
 	sf, rows, seed     = cli.Data(flag.CommandLine)
-	ridge              = cli.Ridge(flag.CommandLine)
-	scorePar           = cli.ScoreParallel(flag.CommandLine)
-	planCache          = cli.PlanCache(flag.CommandLine)
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
 	reps  = flag.Int("reps", 3, "repetitions for the RL comparison (paper: 10)")
@@ -49,9 +44,6 @@ var benches = []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
 func main() {
 	exps := flag.String("exp", "all", "comma-separated: fig2,fig3,fig4,fig5,fig6,fig7,table1,table2,fig8,htap,all")
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("experiments", err)
-	}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
@@ -166,9 +158,6 @@ func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harne
 		// The paper caps PDTool at 1 hour per invocation here.
 		opts.PDToolTimeLimitSec = 3600
 	}
-	opts.MABOptions.RidgeBackend = *ridge
-	opts.MABOptions.ScoreWorkers = *scorePar
-	opts.DisablePlanCache = !*planCache
 	return harness.CellSpec{Options: opts, Tuner: kind}
 }
 
@@ -241,9 +230,6 @@ func table2() {
 					MaxStoredRows: *rows,
 					Seed:          *seed,
 				}
-				opts.MABOptions.RidgeBackend = *ridge
-				opts.MABOptions.ScoreWorkers = *scorePar
-				opts.DisablePlanCache = !*planCache
 				specs = append(specs, harness.CellSpec{Options: opts, Tuner: kind})
 			}
 		}
@@ -331,9 +317,6 @@ func fig8() {
 					MaxStoredRows: *rows,
 					Seed:          *seed,
 				}
-				opts.MABOptions.RidgeBackend = *ridge
-				opts.MABOptions.ScoreWorkers = *scorePar
-				opts.DisablePlanCache = !*planCache
 				specs = append(specs, harness.CellSpec{
 					Options: opts,
 					Tuner:   kind,

@@ -13,7 +13,7 @@
 //
 //	serve -bench ssb -policy mab -checkpoint tuner.ckpt < stream.txt
 //	serve -restore -checkpoint tuner.ckpt < stream.txt   # resume killed run
-//	serve -policy mab -ridge chol -stop-after 5 -checkpoint tuner.ckpt < stream.txt
+//	serve -policy mab -stop-after 5 -checkpoint tuner.ckpt < stream.txt
 //
 // A restored session skips the stream's already-served prefix and then
 // recommends byte-identically to a session that was never interrupted —
@@ -36,10 +36,6 @@ func main() {
 		bench          = cli.Bench(flag.CommandLine, "ssb")
 		sf, rows, seed = cli.Data(flag.CommandLine)
 		budget         = cli.Budget(flag.CommandLine)
-		ridge          = cli.Ridge(flag.CommandLine)
-		scorePar       = cli.ScoreParallel(flag.CommandLine)
-		forgetRank     = cli.ForgetRank(flag.CommandLine)
-		planCache      = cli.PlanCache(flag.CommandLine)
 		pol            = cli.Policy(flag.CommandLine, "policy", "mab")
 
 		streamPath = flag.String("stream", "-", "window stream file ('-' = stdin)")
@@ -55,9 +51,6 @@ func main() {
 		guardForget   = flag.Float64("guard-forget", 0, "policy forgetting factor applied on quarantine (0 = off)")
 	)
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("serve", err)
-	}
 	if *every < 1 {
 		*every = 1
 	}
@@ -71,16 +64,12 @@ func main() {
 		s, err = serve.RestoreFile(*ckptPath)
 	} else {
 		s, err = serve.New(serve.Options{
-			Benchmark:        *bench,
-			ScaleFactor:      *sf,
-			MaxStoredRows:    *rows,
-			Seed:             *seed,
-			MemoryBudgetX:    *budget,
-			Policy:           *pol,
-			RidgeBackend:     *ridge,
-			ScoreWorkers:     *scorePar,
-			ForgetRank:       *forgetRank,
-			DisablePlanCache: !*planCache,
+			Benchmark:     *bench,
+			ScaleFactor:   *sf,
+			MaxStoredRows: *rows,
+			Seed:          *seed,
+			MemoryBudgetX: *budget,
+			Policy:        *pol,
 			Guardrail: serve.GuardrailOptions{
 				Disabled:        *noGuard,
 				BudgetX:         *guardX,

@@ -7,7 +7,10 @@
 //   - the C2UCB contextual combinatorial bandit tuner for online index
 //     selection (the paper's contribution), with dynamic workload-driven
 //     arm generation, prefix-encoded contexts, a greedy knapsack super-arm
-//     oracle, execution-gain reward shaping and shift-scaled forgetting;
+//     oracle, execution-gain reward shaping and shift-scaled forgetting,
+//     over one ridge regression kept as the Cholesky factor of its
+//     scatter matrix (rank-1 updates, no explicit inverse, no tuning
+//     knobs);
 //   - a self-contained analytical DBMS simulator (storage, deliberately
 //     uniformity/AVI-limited optimiser, true-cost executor) to tune
 //     against;
@@ -89,7 +92,6 @@ import (
 	"dbabandits/internal/engine"
 	"dbabandits/internal/harness"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/optimizer"
 	"dbabandits/internal/policy"
@@ -113,23 +115,6 @@ type (
 	// QueryStore aggregates observed workload templates.
 	QueryStore = mab.QueryStore
 )
-
-// Ridge backend names for TunerOptions.RidgeBackend: the
-// Sherman–Morrison explicit inverse (the default) and the factored
-// Cholesky core (no inverse maintenance, no rebase machinery).
-const (
-	RidgeBackendSM   = linalg.BackendSM
-	RidgeBackendChol = linalg.BackendChol
-)
-
-// RidgeBackends lists the selectable ridge-backend names.
-func RidgeBackends() []string { return linalg.RidgeBackends() }
-
-// ValidRidgeBackend reports whether name selects a ridge backend (""
-// selects the default). NewTuner panics on an unknown name, so callers
-// building TunerOptions.RidgeBackend from user input should validate
-// with this first.
-func ValidRidgeBackend(name string) bool { return linalg.ValidRidgeBackend(name) }
 
 // Simulator types.
 type (

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strings"
 
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
 )
 
@@ -37,69 +36,6 @@ func Data(fs *flag.FlagSet) (sf *float64, rows *int, seed *int64) {
 // of the data size).
 func Budget(fs *flag.FlagSet) *float64 {
 	return fs.Float64("budget", 1, "memory budget as a multiple of data size")
-}
-
-// Ridge registers the -ridge backend selector. The default is sm for
-// every single-run CLI: with skyline-batched solves, sm scores a warm
-// TPC-DS round in ~8.7µs versus ~55µs for chol, and a single
-// deterministic batch run cannot hit the slow numerical-drift regimes
-// chol exists for. Long-lived serving sessions are the case for
-// -ridge chol — the factored form cannot lose positive-definiteness
-// under millions of rank-one updates — and both backends are pinned
-// byte-identical on every golden, so switching is a latency/robustness
-// trade only. See README "Ridge backend defaults".
-func Ridge(fs *flag.FlagSet) *string {
-	return fs.String("ridge", linalg.BackendSM,
-		"MAB ridge backend: sm (Sherman–Morrison inverse; fastest) | chol (factored Cholesky; drift-proof for long serving runs)")
-}
-
-// PlanCache registers the -plan-cache toggle for the optimiser's
-// config-fingerprinted plan & what-if cost cache. On by default; off is
-// the A/B control that re-runs the full greedy search on every call.
-// Results are byte-identical either way — plans, costs, goldens and
-// PDTool WhatIfCalls/RecommendSec accounting do not change — so this is
-// purely a wall-clock knob.
-func PlanCache(fs *flag.FlagSet) *bool {
-	return fs.Bool("plan-cache", true,
-		"cache optimiser plans by (query, relevant-index fingerprint); false = uncached A/B control (identical output)")
-}
-
-// ScoreParallel registers the -score-parallel knob: worker goroutines
-// for the MAB's batched arm scoring. The batch is partitioned
-// deterministically by arm index with per-worker scratch, so results
-// are byte-identical at any setting — this is purely a latency knob.
-func ScoreParallel(fs *flag.FlagSet) *int {
-	return fs.Int("score-parallel", 1,
-		"MAB arm-scoring worker goroutines (results identical at any value)")
-}
-
-// ScoreParallelAuto is ScoreParallel for the fleet command, whose
-// default is "auto" (0): many tenants share one process, so serial
-// scoring per tenant wastes whatever cores the tenant-level fan-out
-// leaves idle. 0 resolves to runtime.GOMAXPROCS(0) at run time
-// (fleet.DefaultScoreWorkers); single-tenant commands keep the serial
-// default of ScoreParallel.
-func ScoreParallelAuto(fs *flag.FlagSet) *int {
-	return fs.Int("score-parallel", 0,
-		"MAB arm-scoring worker goroutines; 0 = GOMAXPROCS (results identical at any value)")
-}
-
-// ForgetRank registers the -forget-rank knob: the budget of the SM
-// ridge backend's structured low-rank Forget correction. 0 keeps the
-// exact Forget-triggered refactorisation (the default every golden was
-// captured under); k >= the context dimension is mathematically exact
-// at O(k·d²) instead of O(d³).
-func ForgetRank(fs *flag.FlagSet) *int {
-	return fs.Int("forget-rank", 0,
-		"SM ridge low-rank Forget budget (0 = exact rebase)")
-}
-
-// CheckRidge validates a -ridge value before any expensive setup runs.
-func CheckRidge(name string) error {
-	if !linalg.ValidRidgeBackend(name) {
-		return fmt.Errorf("unknown ridge backend %q (available: %v)", name, linalg.RidgeBackends())
-	}
-	return nil
 }
 
 // Policy registers a policy-selector flag under the given name, with

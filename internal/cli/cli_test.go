@@ -12,32 +12,20 @@ func TestSharedFlagNamesAndDefaults(t *testing.T) {
 	bench := Bench(fs, "tpch")
 	sf, rows, seed := Data(fs)
 	budget := Budget(fs)
-	ridge := Ridge(fs)
 	parallel, progress := Parallel(fs)
-	for _, name := range []string{"bench", "sf", "rows", "seed", "budget", "ridge", "parallel", "progress"} {
+	for _, name := range []string{"bench", "sf", "rows", "seed", "budget", "parallel", "progress"} {
 		if fs.Lookup(name) == nil {
 			t.Fatalf("flag -%s not registered", name)
 		}
 	}
-	if err := fs.Parse([]string{"-bench", "ssb", "-ridge", "chol", "-parallel", "2"}); err != nil {
+	if err := fs.Parse([]string{"-bench", "ssb", "-parallel", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if *bench != "ssb" || *ridge != "chol" || *parallel != 2 {
-		t.Fatalf("parsed bench=%q ridge=%q parallel=%d", *bench, *ridge, *parallel)
+	if *bench != "ssb" || *parallel != 2 {
+		t.Fatalf("parsed bench=%q parallel=%d", *bench, *parallel)
 	}
 	if *sf != 10 || *rows != 5000 || *seed != 1 || *budget != 1 || *progress {
 		t.Fatalf("defaults sf=%v rows=%v seed=%v budget=%v progress=%v", *sf, *rows, *seed, *budget, *progress)
-	}
-}
-
-func TestCheckRidge(t *testing.T) {
-	for _, ok := range []string{"", "sm", "chol"} {
-		if err := CheckRidge(ok); err != nil {
-			t.Fatalf("CheckRidge(%q): %v", ok, err)
-		}
-	}
-	if err := CheckRidge("lu"); err == nil {
-		t.Fatal("CheckRidge accepted unknown backend")
 	}
 }
 

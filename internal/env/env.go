@@ -77,11 +77,6 @@ type Options struct {
 	// HTAP tunes the hybrid regime's update-heavy rounds (update cadence,
 	// statements per round, write volume). Ignored by other regimes.
 	HTAP workload.HTAPOptions
-	// DisablePlanCache switches the optimiser to the uncached full greedy
-	// search on every call — the A/B control for the config-fingerprinted
-	// plan & what-if cache (-plan-cache=false on the CLIs). Both settings
-	// are byte-identical in every result; only wall-clock time differs.
-	DisablePlanCache bool
 }
 
 // Environment is a prepared benchmark environment: database, cost model,
@@ -125,9 +120,6 @@ func New(opts Options) (*Environment, error) {
 	}
 	cm := engine.DefaultCostModel()
 	opt := optimizer.New(schema, cm)
-	if opts.DisablePlanCache {
-		opt = optimizer.NewUncached(schema, cm)
-	}
 	e := &Environment{
 		Opts:   opts,
 		Bench:  bench,
@@ -155,10 +147,8 @@ func New(opts Options) (*Environment, error) {
 }
 
 // PlanCacheStats returns the optimiser's cumulative plan-cache counters
-// for this environment — zero-valued when DisablePlanCache is set. They
-// feed logs and benchmark labels only; no golden-pinned result or
-// RunResult field includes them, so cached and uncached runs stay
-// byte-identical.
+// for this environment. They feed logs and benchmarks only; no
+// golden-pinned result or RunResult field includes them.
 func (e *Environment) PlanCacheStats() optimizer.PlanCacheStats {
 	return e.Opt.CacheStats()
 }

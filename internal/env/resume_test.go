@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
 )
 
-func resumeEnv(t *testing.T, backend string, rounds int) *Environment {
+func resumeEnv(t *testing.T, rounds int) *Environment {
 	t.Helper()
 	opts := Options{
 		Benchmark:     "ssb",
@@ -20,7 +19,6 @@ func resumeEnv(t *testing.T, backend string, rounds int) *Environment {
 		Rounds:        rounds,
 		Seed:          7,
 	}
-	opts.MABOptions.RidgeBackend = backend
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -29,21 +27,23 @@ func resumeEnv(t *testing.T, backend string, rounds int) *Environment {
 }
 
 // TestCheckpointResumeEveryPolicy is the checkpoint round-trip property
-// test: for EVERY registered policy, on BOTH ridge backends, snapshot
-// at a (seeded-)random round boundary, restore into a freshly built
-// policy over a freshly built environment, resume over the remaining
-// span, and require the concatenated RoundResults byte-identical to an
-// uninterrupted golden run. This is the contract every future policy
-// inherits the moment it registers: implementing Snapshotter means
-// resumable, and resumable means byte-identical.
+// test: for EVERY registered policy, snapshot at a (seeded-)random
+// round boundary, restore into a freshly built policy over a freshly
+// built environment, resume over the remaining span, and require the
+// concatenated RoundResults byte-identical to an uninterrupted golden
+// run. This is the contract every future policy inherits the moment it
+// registers: implementing Snapshotter means resumable, and resumable
+// means byte-identical. The cases sit under a "chol" subtest, named
+// after the factored ridge core whose checkpoint the MAB policy
+// round-trips.
 func TestCheckpointResumeEveryPolicy(t *testing.T) {
 	const total = 6
 	rng := rand.New(rand.NewSource(20260808))
-	for _, backend := range linalg.RidgeBackends() {
+	t.Run("chol", func(t *testing.T) {
 		for _, name := range policy.Names() {
 			cut := 1 + rng.Intn(total-1)
-			t.Run(backend+"/"+name, func(t *testing.T) {
-				eA := resumeEnv(t, backend, total)
+			t.Run(name, func(t *testing.T) {
+				eA := resumeEnv(t, total)
 				golden, err := eA.Run(TunerKind(name))
 				if err != nil {
 					t.Fatal(err)
@@ -51,7 +51,7 @@ func TestCheckpointResumeEveryPolicy(t *testing.T) {
 
 				// Head: drive rounds 1..cut, then checkpoint at the
 				// round boundary.
-				eB := resumeEnv(t, backend, total)
+				eB := resumeEnv(t, total)
 				p1, err := policy.New(name, eB, eB.policyParams())
 				if err != nil {
 					t.Fatal(err)
@@ -73,7 +73,7 @@ func TestCheckpointResumeEveryPolicy(t *testing.T) {
 				p1.Close()
 
 				// Tail: fresh environment, fresh policy, restore, resume.
-				eC := resumeEnv(t, backend, total)
+				eC := resumeEnv(t, total)
 				p2, err := policy.New(name, eC, eC.policyParams())
 				if err != nil {
 					t.Fatal(err)
@@ -95,10 +95,10 @@ func TestCheckpointResumeEveryPolicy(t *testing.T) {
 				ja, _ := json.Marshal(golden.Rounds)
 				jb, _ := json.Marshal(got)
 				if string(ja) != string(jb) {
-					t.Fatalf("%s/%s resumed at round %d diverged from uninterrupted run:\n%s\nvs\n%s",
-						backend, name, cut, jb, ja)
+					t.Fatalf("%s resumed at round %d diverged from uninterrupted run:\n%s\nvs\n%s",
+						name, cut, jb, ja)
 				}
 			})
 		}
-	}
+	})
 }

@@ -5,27 +5,27 @@ import (
 	"math"
 )
 
-// CholState is the factored ridge backend: instead of an explicit
-// inverse it maintains the lower-triangular Cholesky factor L of the
-// scatter matrix V_t = lambda*I + sum x x' directly, via the classic
-// rank-1 cholupdate (one Givens-style rotation per column). The
-// coefficient estimate theta = V^{-1} b is computed by two triangular
-// solves and each confidence width sqrt(x' V^{-1} x) = ||L^{-1} x|| by
-// one.
+// CholState is the ridge regression behind the C2UCB bandit: the
+// sufficient statistics V_t = lambda*I + sum x x' and b_t = sum r*x,
+// queried through the coefficient estimate theta_t = V_t^{-1} b_t and
+// the per-context confidence width sqrt(x' V_t^{-1} x).
 //
-// Because no inverse is ever formed, there is nothing to drift: every
-// operation is backward-stable on the factor, so the Sherman–Morrison
-// path's drift scoring and periodic exact rebases have no counterpart
-// here. The trade-off is scoring cost — a triangular solve is O(d²)
-// where the explicit-inverse sparse quadratic form is O(nnz²) — which
-// is why BackendSM remains the default and BackendChol is the
-// robustness-first alternative for high-dimensional or long-horizon
-// runs.
+// It never forms V or its inverse. It maintains the lower-triangular
+// Cholesky factor L of V directly, via the classic rank-1 cholupdate
+// (one Givens rotation per column). theta = V^{-1} b costs two
+// triangular solves and each confidence width ||L^{-1} x|| one. Every
+// operation is backward-stable on the factor, so there is no inverse
+// drift to score and no periodic exact rebase to schedule.
 //
 // V is positive definite by construction (lambda > 0, rank-1 additions
 // only), so the diagonal of L stays strictly positive: cholupdate's
 // rotations satisfy r = sqrt(L[k][k]² + w[k]²) >= L[k][k], and Forget
 // scales by sqrt(1-gamma) > 0 before topping the prior back up.
+//
+// Vectors returned by Theta are owned by the state and valid until the
+// next Observe/ObserveSparse/Forget; callers must not mutate them. A
+// CholState is not safe for concurrent use: the theta memo is written
+// lazily by the scoring reads, and the solves reuse per-state scratch.
 type CholState struct {
 	Dim    int
 	L      *Matrix // lower-triangular Cholesky factor, V = L L'
@@ -34,15 +34,27 @@ type CholState struct {
 
 	updates int
 
-	// theta memoises V^{-1} b between observations, mirroring the
-	// Sherman–Morrison backend's cache.
+	// theta memoises V^{-1} b between observations.
 	theta      Vector
 	thetaValid bool
 
-	work       Vector        // rank-1 input w, loaded by Observe/ObserveSparse/Forget
-	rotc, rots Vector        // per-column rotation coefficients of the fused cholupdate
-	rotk       []int         // columns with genuine (non-identity) rotations, in order
-	scratch    *BatchScratch // serial scoring scratch; sharded scorers bring their own
+	work       Vector // rank-1 input w, loaded by Observe/ObserveSparse/Forget
+	rotc, rots Vector // per-column rotation coefficients of the fused cholupdate
+	rotk       []int  // columns with genuine (non-identity) rotations, in order
+
+	// Scoring scratch. z is the triangular-solve intermediate L^{-1} x;
+	// xbuf is a densified sparse context, kept all-zero between uses.
+	z, xbuf Vector
+	// panel is the blocked batch-solve working set: cholPanelWidth
+	// right-hand-side columns forward-substituted through L in one pass
+	// (see quadPanel). Row-major with a fixed cholPanelWidth stride;
+	// lazily sized Dim*cholPanelWidth.
+	panel Vector
+	// q accumulates the per-column quadratic forms of one panel.
+	q [cholPanelWidth]float64
+	// order and cnt are the counting-sort scratch that groups a batch's
+	// arms into panels by first non-zero row.
+	order, cnt []int32
 
 	// profile[i] is the skyline bound of row i: every L[i][k] with
 	// k < profile[i] is an exact stored +0, untouched since the
@@ -77,7 +89,8 @@ func NewCholState(dim int, lambda float64) *CholState {
 		rotc:    NewVector(dim),
 		rots:    NewVector(dim),
 		rotk:    make([]int, 0, dim),
-		scratch: NewBatchScratch(dim),
+		z:       NewVector(dim),
+		xbuf:    NewVector(dim),
 		profile: make([]int, dim),
 	}
 	cs.resetProfile()
@@ -110,9 +123,6 @@ func (cs *CholState) rescanProfile() {
 	}
 }
 
-// Dimension implements RidgeCore.
-func (cs *CholState) Dimension() int { return cs.Dim }
-
 // Updates reports how many observations have been folded in.
 func (cs *CholState) Updates() int { return cs.updates }
 
@@ -129,9 +139,6 @@ func (cs *CholState) Theta() Vector {
 	}
 	return cs.theta
 }
-
-// ThetaCached implements RidgeCore; it is Theta (already memoised).
-func (cs *CholState) ThetaCached() Vector { return cs.Theta() }
 
 // Observe folds one (context, reward) observation into the state:
 // b += r x and L <- cholupdate(L, x), so V = L L' absorbs + x x'.
@@ -278,33 +285,39 @@ func (cs *CholState) cholUpdateFrom(k0 int) {
 
 // ConfidenceWidth returns sqrt(x' V^{-1} x) = ||L^{-1} x|| by one
 // forward solve. quadSolve only reads its right-hand side, so x is
-// passed directly (the scratch's xbuf must stay all-zero for the sparse
-// paths).
+// passed directly (xbuf must stay all-zero for the sparse paths).
 func (cs *CholState) ConfidenceWidth(x Vector) float64 {
 	if len(x) != cs.Dim {
 		panic(fmt.Sprintf("linalg: width dimension %d, want %d", len(x), cs.Dim))
 	}
-	return widthFromQuad(cs.quadSolve(x, 0, cs.scratch.z))
+	return widthFromQuad(cs.quadSolve(x, 0))
 }
 
 // ConfidenceWidthSparse is ConfidenceWidth for a sparse context; the
 // solve starts at the context's first non-zero index (all earlier
 // intermediate entries are exactly zero).
 func (cs *CholState) ConfidenceWidthSparse(x SparseVector) float64 {
-	return widthFromQuad(cs.quadSparse(x, cs.scratch))
-}
-
-// QuadraticFormBatch computes x' V^{-1} x for every context into out in
-// one pass, reusing the state-owned solve scratch across arms — the
-// per-arm triangular solve without per-arm allocation.
-func (cs *CholState) QuadraticFormBatch(xs []SparseVector, out []float64) {
-	cs.QuadraticFormBatchScratch(xs, out, cs.scratch)
+	return widthFromQuad(cs.quadSparse(x))
 }
 
 // ConfidenceWidthBatch computes sqrt(x' V^{-1} x) for every context into
-// out; each entry is bit-identical to ConfidenceWidthSparse.
+// out (len(out) must equal len(xs)); each entry is bit-identical to
+// ConfidenceWidthSparse.
 func (cs *CholState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
-	cs.ConfidenceWidthBatchScratch(xs, out, cs.scratch)
+	cs.QuadraticFormBatch(xs, out)
+	for i, q := range out {
+		out[i] = widthFromQuad(q)
+	}
+}
+
+// widthFromQuad turns a quadratic form x' V^{-1} x into a width. The
+// solves here produce sums of squares, which cannot be negative; the
+// clamp keeps a width from ever being NaN regardless.
+func widthFromQuad(q float64) float64 {
+	if q < 0 {
+		q = 0
+	}
+	return math.Sqrt(q)
 }
 
 // cholPanelWidth is the number of right-hand-side columns the batched
@@ -316,10 +329,8 @@ func (cs *CholState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
 // row) while amortising essentially all of the factor traffic.
 const cholPanelWidth = 16
 
-// QuadraticFormBatchScratch is the sharded batch kernel: it reads only
-// the factor (immutable during scoring) and works entirely in the
-// supplied scratch, so concurrent calls over disjoint shards — each
-// with its own scratch — are safe and bit-identical to a serial pass.
+// QuadraticFormBatch computes x' V^{-1} x for every context into out
+// (len(out) must equal len(xs)) in one pass over the factor.
 //
 // The batch is solved cholPanelWidth arms at a time through one blocked
 // forward substitution (quadPanel) rather than one triangular solve per
@@ -329,27 +340,23 @@ const cholPanelWidth = 16
 // block-minimum start row: grouping similar starts keeps the panels as
 // narrow as the one-column solves they replace. Each arm's result is
 // bit-identical to quadSparse on the same context regardless of how the
-// batch is grouped or blocked, so sharded callers with any partition
-// boundaries agree with the serial pass byte for byte.
-func (cs *CholState) QuadraticFormBatchScratch(xs []SparseVector, out []float64, s *BatchScratch) {
+// batch is grouped or blocked.
+func (cs *CholState) QuadraticFormBatch(xs []SparseVector, out []float64) {
 	if len(xs) != len(out) {
 		panic(fmt.Sprintf("linalg: batch length mismatch %d contexts, %d outputs", len(xs), len(out)))
 	}
-	if len(s.z) != cs.Dim {
-		panic(fmt.Sprintf("linalg: batch scratch dimension %d, want %d", len(s.z), cs.Dim))
-	}
 	n := cs.Dim
-	if len(s.panel) < n*cholPanelWidth {
-		s.panel = NewVector(n * cholPanelWidth)
+	if len(cs.panel) < n*cholPanelWidth {
+		cs.panel = NewVector(n * cholPanelWidth)
 	}
-	if cap(s.order) < len(xs) {
-		s.order = make([]int32, len(xs))
+	if cap(cs.order) < len(xs) {
+		cs.order = make([]int32, len(xs))
 	}
-	ord := s.order[:len(xs)]
-	if cap(s.cnt) < n+1 {
-		s.cnt = make([]int32, n+1)
+	ord := cs.order[:len(xs)]
+	if cap(cs.cnt) < n+1 {
+		cs.cnt = make([]int32, n+1)
 	}
-	cnt := s.cnt[:n+1]
+	cnt := cs.cnt[:n+1]
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -375,7 +382,7 @@ func (cs *CholState) QuadraticFormBatchScratch(xs []SparseVector, out []float64,
 		if hi > len(ord) {
 			hi = len(ord)
 		}
-		cs.quadPanel(xs, ord[lo:hi], out, s)
+		cs.quadPanel(xs, ord[lo:hi], out)
 	}
 }
 
@@ -394,7 +401,7 @@ func xStart(x SparseVector, n int) int {
 // Underfull panels run at full width against zero-padded columns — a
 // padded column's every entry stays an exact +0, so the fixed-width
 // inner loops (bounds-check-free via the array-pointer views) cost only
-// the dead lanes of at most one panel per shard.
+// the dead lanes of at most one panel per batch.
 //
 // Bit-identity with the one-column quadSparse holds per arm: column j's
 // value at row i is b_i minus the k-ascending sequence of l_ik*z_kj
@@ -404,7 +411,7 @@ func xStart(x SparseVector, n int) int {
 // exact no-op, so starting the panel at the block-wide minimum start
 // row changes nothing about any column's bits — which is also why the
 // result is independent of panel grouping and block boundaries.
-func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s *BatchScratch) {
+func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64) {
 	const w = cholPanelWidth
 	n := cs.Dim
 	start := n
@@ -419,7 +426,7 @@ func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s 
 		}
 		return
 	}
-	p := s.panel
+	p := cs.panel
 	for i := start * w; i < n*w; i++ {
 		p[i] = 0
 	}
@@ -429,7 +436,7 @@ func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s 
 			p[i*w+c] = x.Val[k]
 		}
 	}
-	q := &s.q
+	q := &cs.q
 	for j := range q {
 		q[j] = 0
 	}
@@ -459,18 +466,9 @@ func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s 
 	}
 }
 
-// ConfidenceWidthBatchScratch is ConfidenceWidthBatch through
-// caller-supplied scratch, with the same sharding contract.
-func (cs *CholState) ConfidenceWidthBatchScratch(xs []SparseVector, out []float64, s *BatchScratch) {
-	cs.QuadraticFormBatchScratch(xs, out, s)
-	for i, q := range out {
-		out[i] = widthFromQuad(q)
-	}
-}
-
-// quadSparse scatters x into the scratch's dense buffer and solves from
-// its first non-zero row, restoring the buffer to zero afterwards.
-func (cs *CholState) quadSparse(x SparseVector, s *BatchScratch) float64 {
+// quadSparse scatters x into the dense xbuf and solves from its first
+// non-zero row, restoring the buffer to zero afterwards.
+func (cs *CholState) quadSparse(x SparseVector) float64 {
 	if x.Dim != cs.Dim {
 		panic(fmt.Sprintf("linalg: width dimension %d, want %d", x.Dim, cs.Dim))
 	}
@@ -478,18 +476,18 @@ func (cs *CholState) quadSparse(x SparseVector, s *BatchScratch) float64 {
 		return 0
 	}
 	for k, i := range x.Idx {
-		s.xbuf[i] = x.Val[k]
+		cs.xbuf[i] = x.Val[k]
 	}
-	q := cs.quadSolve(s.xbuf, x.Idx[0], s.z)
+	q := cs.quadSolve(cs.xbuf, x.Idx[0])
 	for _, i := range x.Idx {
-		s.xbuf[i] = 0
+		cs.xbuf[i] = 0
 	}
 	return q
 }
 
 // quadSolve computes ||L^{-1} b||² for the right-hand side b, which must
 // be zero before row start. The intermediate z = L^{-1} b lands in the
-// supplied z scratch; b is read-only here.
+// z scratch; b is read-only here.
 //
 // Each row's subtraction loop runs from max(profile[i], start) — every
 // skipped term is either l*z with l an exact stored +0 (left of the
@@ -499,8 +497,8 @@ func (cs *CholState) quadSparse(x SparseVector, s *BatchScratch) float64 {
 // side entry, and under round-to-nearest x-y is -0 only when x already
 // is), and x - (±0) leaves any non-(-0) x bit-unchanged. Skipping the
 // no-op terms is therefore bit-identical to the dense sweep.
-func (cs *CholState) quadSolve(b Vector, start int, z Vector) float64 {
-	n := cs.Dim
+func (cs *CholState) quadSolve(b Vector, start int) float64 {
+	n, z := cs.Dim, cs.z
 	data := cs.L.Data
 	var q float64
 	for i := start; i < n; i++ {
@@ -521,11 +519,13 @@ func (cs *CholState) quadSolve(b Vector, start int, z Vector) float64 {
 }
 
 // Forget discounts accumulated knowledge toward the prior by factor
-// gamma in [0, 1], matching the Sherman–Morrison backend's semantics:
-// V <- (1-gamma)*V + gamma*lambda*I, b <- (1-gamma)*b. On the factor
-// this is a scale by sqrt(1-gamma) followed by one fused diagonal
-// sweep: pass i applies the rank-1 update sqrt(gamma*lambda)*e_i
-// starting directly at its pivot column i (every earlier column rotates
+// gamma in [0, 1]: 0 keeps everything, 1 resets to lambda*I / 0. The
+// MAB uses this to adapt to workload shifts (Section IV, "the learner
+// can forget learned knowledge depending on the workload shift
+// intensity"): V <- (1-gamma)*V + gamma*lambda*I, b <- (1-gamma)*b.
+// On the factor this is a scale by sqrt(1-gamma) followed by one fused
+// diagonal sweep: pass i applies the rank-1 update
+// sqrt(gamma*lambda)*e_i starting directly at its pivot column i (every earlier column rotates
 // by the identity), so no pass scans or rezeroes scratch it never
 // touches — the pre-fused form rezeroed the full work vector and
 // re-scanned all leading columns d times over. The flops are one

@@ -6,13 +6,60 @@ import (
 	"testing"
 )
 
-// randomRidgeWorkload drives both cores through an identical randomized
-// Observe/Forget sequence: dense and sparse observations interleaved,
-// with a partial Forget every forgetEvery steps (0 disables).
-func randomRidgeWorkload(t *testing.T, dim, steps, forgetEvery int, seed int64) (*RidgeState, *CholState) {
+// denseRidge is the closed-form reference the factored core is checked
+// against: V and b accumulated explicitly with the dense matrix
+// kernels, every query answered from a fresh factorisation of V.
+type denseRidge struct {
+	V      *Matrix
+	B      Vector
+	lambda float64
+}
+
+func newDenseRidge(dim int, lambda float64) *denseRidge {
+	return &denseRidge{V: Identity(dim, lambda), B: NewVector(dim), lambda: lambda}
+}
+
+func (d *denseRidge) Observe(x Vector, reward float64) {
+	d.V.AddOuterScaled(1, x)
+	d.B.AddScaled(reward, x)
+}
+
+// Forget is V <- (1-gamma)*V + gamma*lambda*I, b <- (1-gamma)*b.
+func (d *denseRidge) Forget(gamma float64) {
+	keep := 1 - gamma
+	d.V.ScaleInPlace(keep)
+	for i := 0; i < d.V.Rows; i++ {
+		d.V.Add(i, i, gamma*d.lambda)
+	}
+	d.B.Scale(keep)
+}
+
+func (d *denseRidge) Theta(t *testing.T) Vector {
+	t.Helper()
+	theta, err := d.V.SolveCholesky(d.B)
+	if err != nil {
+		t.Fatalf("reference V not positive definite: %v", err)
+	}
+	return theta
+}
+
+func (d *denseRidge) Width(t *testing.T, x Vector) float64 {
+	t.Helper()
+	inv, err := d.V.Inverse()
+	if err != nil {
+		t.Fatalf("reference V not invertible: %v", err)
+	}
+	return math.Sqrt(inv.QuadraticForm(x))
+}
+
+// randomRidgeWorkload drives the factored core and the dense reference
+// through an identical randomized Observe/Forget sequence: dense and
+// sparse observations interleaved, with a partial Forget every
+// forgetEvery steps (0 disables).
+func randomRidgeWorkload(t *testing.T, dim, steps, forgetEvery int, seed int64) (*denseRidge, *CholState) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sm := NewRidgeState(dim, 0.25)
+	ref := newDenseRidge(dim, 0.25)
 	chol := NewCholState(dim, 0.25)
 	for s := 0; s < steps; s++ {
 		x := NewVector(dim)
@@ -20,47 +67,45 @@ func randomRidgeWorkload(t *testing.T, dim, steps, forgetEvery int, seed int64) 
 			x[rng.Intn(dim)] = rng.NormFloat64()
 		}
 		r := rng.NormFloat64() * 10
+		ref.Observe(x, r)
 		if s%2 == 0 {
-			sm.Observe(x, r)
 			chol.Observe(x, r)
 		} else {
-			sx := SparseFromDense(x)
-			sm.ObserveSparse(sx, r)
-			chol.ObserveSparse(sx, r)
+			chol.ObserveSparse(SparseFromDense(x), r)
 		}
 		if forgetEvery > 0 && s > 0 && s%forgetEvery == 0 {
 			gamma := 0.3 + 0.4*rng.Float64()
-			sm.Forget(gamma)
+			ref.Forget(gamma)
 			chol.Forget(gamma)
 		}
 	}
-	return sm, chol
+	return ref, chol
 }
 
-// TestCholAgreesWithShermanMorrison is the cross-backend property test:
-// on randomized workloads the factored core must reproduce the
-// explicit-inverse core's theta, widths, and scatter matrix to within
-// tight floating-point agreement (the two compute the same quantities
-// by different factorisations, so bit-identity is not expected — 1e-8
+// TestCholAgreesWithDenseReference is the closed-form property test: on
+// randomized workloads the factored core must reproduce the dense
+// reference's theta, widths, and scatter matrix to within tight
+// floating-point agreement (the two compute the same quantities by
+// different factorisations, so bit-identity is not expected — 1e-8
 // relative is).
-func TestCholAgreesWithShermanMorrison(t *testing.T) {
+func TestCholAgreesWithDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range []struct{ dim, steps, forgetEvery int }{
 		{8, 40, 0},
 		{24, 120, 25},
 		{48, 300, 60},
 	} {
-		sm, chol := randomRidgeWorkload(t, tc.dim, tc.steps, tc.forgetEvery, int64(tc.dim))
+		ref, chol := randomRidgeWorkload(t, tc.dim, tc.steps, tc.forgetEvery, int64(tc.dim))
 
-		thetaSM, thetaChol := sm.ThetaCached(), chol.ThetaCached()
-		scale := 1 + thetaSM.MaxAbs()
-		for i := range thetaSM {
-			if d := math.Abs(thetaSM[i] - thetaChol[i]); d > 1e-8*scale {
-				t.Fatalf("dim=%d: theta[%d] diverged: sm=%g chol=%g", tc.dim, i, thetaSM[i], thetaChol[i])
+		thetaRef, thetaChol := ref.Theta(t), chol.Theta()
+		scale := 1 + thetaRef.MaxAbs()
+		for i := range thetaRef {
+			if d := math.Abs(thetaRef[i] - thetaChol[i]); d > 1e-8*scale {
+				t.Fatalf("dim=%d: theta[%d] diverged: ref=%g chol=%g", tc.dim, i, thetaRef[i], thetaChol[i])
 			}
 		}
 
-		if d := sm.V.MaxAbsDiff(chol.Scatter()); d > 1e-8*(1+sm.V.MaxAbsDiff(NewMatrix(tc.dim, tc.dim))) {
+		if d := ref.V.MaxAbsDiff(chol.Scatter()); d > 1e-8*(1+ref.V.MaxAbsDiff(NewMatrix(tc.dim, tc.dim))) {
 			t.Fatalf("dim=%d: scatter matrices diverged by %g", tc.dim, d)
 		}
 
@@ -69,9 +114,9 @@ func TestCholAgreesWithShermanMorrison(t *testing.T) {
 			for k := 0; k < tc.dim/5+1; k++ {
 				x[rng.Intn(tc.dim)] = rng.NormFloat64()
 			}
-			wSM, wChol := sm.ConfidenceWidth(x), chol.ConfidenceWidth(x)
-			if math.Abs(wSM-wChol) > 1e-8*(1+wSM) {
-				t.Fatalf("dim=%d probe %d: width diverged: sm=%g chol=%g", tc.dim, probe, wSM, wChol)
+			wRef, wChol := ref.Width(t, x), chol.ConfidenceWidth(x)
+			if math.Abs(wRef-wChol) > 1e-8*(1+wRef) {
+				t.Fatalf("dim=%d probe %d: width diverged: ref=%g chol=%g", tc.dim, probe, wRef, wChol)
 			}
 			sx := SparseFromDense(x)
 			if w := chol.ConfidenceWidthSparse(sx); math.Abs(w-wChol) > 1e-12*(1+wChol) {
@@ -81,9 +126,66 @@ func TestCholAgreesWithShermanMorrison(t *testing.T) {
 	}
 }
 
+// TestCholAgreesWithShermanMorrison checks the factored core against a
+// second, independent formulation of the same ridge model: V⁻¹ carried
+// explicitly and updated by the Sherman–Morrison rank-one identity
+// V⁻¹ ← V⁻¹ − (V⁻¹x)(V⁻¹x)ᵀ / (1 + xᵀV⁻¹x), re-inverted from the dense
+// V after every Forget. Theta and widths must agree to 1e-8 relative.
+func TestCholAgreesWithShermanMorrison(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct{ dim, steps, forgetEvery int }{
+		{6, 30, 0},
+		{20, 150, 30},
+	} {
+		const lambda = 0.25
+		ref := newDenseRidge(tc.dim, lambda)
+		vinv := Identity(tc.dim, 1/lambda)
+		chol := NewCholState(tc.dim, lambda)
+		for s := 0; s < tc.steps; s++ {
+			x := NewVector(tc.dim)
+			for k := 0; k < tc.dim/4+1; k++ {
+				x[rng.Intn(tc.dim)] = rng.NormFloat64()
+			}
+			r := rng.NormFloat64() * 10
+			ref.Observe(x, r)
+			chol.Observe(x, r)
+			u := vinv.MulVec(x)
+			vinv.AddOuterScaled(-1/(1+x.Dot(u)), u)
+			if tc.forgetEvery > 0 && s > 0 && s%tc.forgetEvery == 0 {
+				gamma := 0.3 + 0.4*rng.Float64()
+				ref.Forget(gamma)
+				chol.Forget(gamma)
+				inv, err := ref.V.Inverse()
+				if err != nil {
+					t.Fatalf("dim=%d: reference V not invertible: %v", tc.dim, err)
+				}
+				vinv = inv
+			}
+		}
+
+		thetaSM, thetaChol := vinv.MulVec(ref.B), chol.Theta()
+		scale := 1 + thetaSM.MaxAbs()
+		for i := range thetaSM {
+			if d := math.Abs(thetaSM[i] - thetaChol[i]); d > 1e-8*scale {
+				t.Fatalf("dim=%d: theta[%d] diverged: sm=%g chol=%g", tc.dim, i, thetaSM[i], thetaChol[i])
+			}
+		}
+		for probe := 0; probe < 10; probe++ {
+			x := NewVector(tc.dim)
+			for k := 0; k < tc.dim/3+1; k++ {
+				x[rng.Intn(tc.dim)] = rng.NormFloat64()
+			}
+			wSM, wChol := math.Sqrt(vinv.QuadraticForm(x)), chol.ConfidenceWidth(x)
+			if math.Abs(wSM-wChol) > 1e-8*(1+wSM) {
+				t.Fatalf("dim=%d probe %d: width diverged: sm=%g chol=%g", tc.dim, probe, wSM, wChol)
+			}
+		}
+	}
+}
+
 // TestRidgeCoreBatchMatchesSingleCalls pins the batched scoring API to
-// the per-arm kernels bit for bit on both backends: batching is an
-// optimisation, never a numeric change.
+// the per-arm kernels bit for bit: batching is an optimisation, never a
+// numeric change.
 func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dim = 32
@@ -95,32 +197,26 @@ func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 		}
 		contexts = append(contexts, SparseFromDense(x))
 	}
-	for _, backend := range RidgeBackends() {
-		core, err := NewRidgeCore(backend, dim, 0.25)
-		if err != nil {
-			t.Fatal(err)
+	cs := NewCholState(dim, 0.25)
+	for i := 0; i < 12; i++ {
+		cs.ObserveSparse(contexts[i], rng.NormFloat64())
+	}
+	widths := make([]float64, len(contexts))
+	cs.ConfidenceWidthBatch(contexts, widths)
+	quads := make([]float64, len(contexts))
+	cs.QuadraticFormBatch(contexts, quads)
+	for i, x := range contexts {
+		if w := cs.ConfidenceWidthSparse(x); w != widths[i] {
+			t.Fatalf("batch width[%d]=%v, single=%v", i, widths[i], w)
 		}
-		for i := 0; i < 12; i++ {
-			core.ObserveSparse(contexts[i], rng.NormFloat64())
-		}
-		widths := make([]float64, len(contexts))
-		core.ConfidenceWidthBatch(contexts, widths)
-		quads := make([]float64, len(contexts))
-		core.QuadraticFormBatch(contexts, quads)
-		for i, x := range contexts {
-			if w := core.ConfidenceWidthSparse(x); w != widths[i] {
-				t.Fatalf("%s: batch width[%d]=%v, single=%v", backend, i, widths[i], w)
-			}
-			if w := widthFromQuad(quads[i]); w != widths[i] {
-				t.Fatalf("%s: quad[%d] inconsistent with width", backend, i)
-			}
+		if w := widthFromQuad(quads[i]); w != widths[i] {
+			t.Fatalf("quad[%d] inconsistent with width", i)
 		}
 	}
 }
 
 // TestCholSparseObserveMatchesDense: the sparse observe path must be
-// bit-identical to the dense one on the same logical vector (the same
-// contract the Sherman–Morrison backend pins in sparse_test.go).
+// bit-identical to the dense one on the same logical vector.
 func TestCholSparseObserveMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const dim = 24
@@ -177,24 +273,13 @@ func TestCholDenseWidthDoesNotCorruptSparseScratch(t *testing.T) {
 }
 
 // TestRidgeCoresStayPositiveDefinite is the numerical-hygiene property
-// test: through long randomized Observe/Forget sequences, both backends
-// must keep V symmetric positive definite — the Sherman–Morrison V must
-// stay exactly symmetric and factorisable, the Cholesky factor's
-// diagonal strictly positive, and no width may come out NaN.
+// test: through long randomized Observe/Forget sequences the factored
+// core must keep V symmetric positive definite — the factor's diagonal
+// strictly positive, L L' factorisable — and no width may come out NaN.
 func TestRidgeCoresStayPositiveDefinite(t *testing.T) {
 	const dim = 20
-	sm, chol := randomRidgeWorkload(t, dim, 500, 40, 3)
+	_, chol := randomRidgeWorkload(t, dim, 500, 40, 3)
 
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			if sm.V.At(i, j) != sm.V.At(j, i) {
-				t.Fatalf("sm V asymmetric at (%d,%d): %v vs %v", i, j, sm.V.At(i, j), sm.V.At(j, i))
-			}
-		}
-	}
-	if _, err := sm.V.Cholesky(); err != nil {
-		t.Fatalf("sm V lost positive definiteness: %v", err)
-	}
 	for i := 0; i < dim; i++ {
 		if d := chol.L.At(i, i); d <= 0 {
 			t.Fatalf("chol factor diagonal %d not positive: %v", i, d)
@@ -208,195 +293,88 @@ func TestRidgeCoresStayPositiveDefinite(t *testing.T) {
 	for probe := 0; probe < 10; probe++ {
 		x := NewVector(dim)
 		x[rng.Intn(dim)] = rng.NormFloat64()
-		if w := sm.ConfidenceWidth(x); math.IsNaN(w) || w < 0 {
-			t.Fatalf("sm width NaN/negative: %v", w)
-		}
 		if w := chol.ConfidenceWidth(x); math.IsNaN(w) || w < 0 {
 			t.Fatalf("chol width NaN/negative: %v", w)
 		}
 	}
 }
 
-// TestWidthClampNearSingular exercises the widthFromQuad clamp with an
-// adversarial near-singular state: after folding in enormous collinear
-// observations, the maintained inverse's tiny quadratic forms sit at
-// the edge of floating-point cancellation, and a corrupted inverse (the
-// kind of drift the rebase machinery exists to bound) pushes them
-// negative outright. The width must clamp to 0, never NaN.
+// TestWidthClampNearSingular drives the factor to the edge of
+// floating-point cancellation — enormous collinear observations against
+// a small prior — and requires finite, non-negative widths on every
+// scoring path, plus the widthFromQuad clamp: a negative quadratic form
+// yields width exactly 0, never NaN.
 func TestWidthClampNearSingular(t *testing.T) {
 	const dim = 6
-	rs := NewRidgeState(dim, 0.25)
-	rs.DriftThreshold = -1 // adaptive rebase off: keep the drifted inverse
-	rs.RebaseEvery = 1 << 30
+	cs := NewCholState(dim, 0.25)
 	x := NewVector(dim)
 	x[0] = 1e8
 	for i := 0; i < 200; i++ {
-		rs.Observe(x, 1)
+		cs.Observe(x, 1)
 	}
-	if w := rs.ConfidenceWidth(x); math.IsNaN(w) || w < 0 {
-		t.Fatalf("near-singular width: %v", w)
-	}
-
-	// Adversarial corruption: a drifted inverse whose quadratic form for
-	// e_0 is a tiny negative number. sqrt would return NaN; the clamp
-	// must return exactly 0.
-	rs.VInv.Set(0, 0, -1e-18)
 	probe := NewVector(dim)
 	probe[0] = 1
-	if w := rs.ConfidenceWidth(probe); w != 0 {
-		t.Fatalf("clamped width = %v, want exactly 0", w)
+	for _, v := range []Vector{x, probe} {
+		w := cs.ConfidenceWidth(v)
+		if math.IsNaN(w) || w < 0 {
+			t.Fatalf("near-singular width: %v", w)
+		}
+		if ws := cs.ConfidenceWidthSparse(SparseFromDense(v)); ws != w {
+			t.Fatalf("near-singular sparse width %v, dense %v", ws, w)
+		}
 	}
-	if w := rs.ConfidenceWidthSparse(SparseFromDense(probe)); w != 0 {
-		t.Fatalf("clamped sparse width = %v, want exactly 0", w)
-	}
-	if got := widthFromQuad(-1e-300); got != 0 {
-		t.Fatalf("widthFromQuad(-1e-300) = %v, want 0", got)
+	for _, q := range []float64{-1e-300, -1e-18, -0.0} {
+		if got := widthFromQuad(q); got != 0 {
+			t.Fatalf("widthFromQuad(%v) = %v, want 0", q, got)
+		}
 	}
 }
 
-// TestThetaMemoisation pins the Sherman–Morrison theta cache: repeated
-// calls between observations return the identical cached vector without
+// TestThetaMemoisation pins the theta cache: repeated calls between
+// observations return the identical cached vector without
 // recomputation, and any state change (Observe, ObserveSparse, Forget)
 // invalidates it.
 func TestThetaMemoisation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim = 12
-	rs := NewRidgeState(dim, 0.25)
+	cs := NewCholState(dim, 0.25)
 	x := NewVector(dim)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	rs.Observe(x, 3)
+	cs.Observe(x, 3)
 
-	t1 := rs.ThetaCached()
-	t2 := rs.ThetaCached()
-	if &t1[0] != &t2[0] {
-		t.Fatal("repeated ThetaCached calls recomputed instead of returning the cache")
+	solve := func() Vector { return cs.L.BackSolveTransposed(cs.L.ForwardSolve(cs.B)) }
+	t1 := cs.Theta()
+	if t2 := cs.Theta(); &t1[0] != &t2[0] {
+		t.Fatal("repeated Theta calls recomputed instead of returning the cache")
 	}
-	if want := rs.VInv.MulVec(rs.B); !t1.Equal(want, 0) {
-		t.Fatalf("cached theta %v != V^{-1} b %v", t1, want)
+	if want := solve(); !t1.Equal(want, 0) {
+		t.Fatalf("cached theta %v != L'^{-1} L^{-1} b %v", t1, want)
 	}
 
 	// An observation must invalidate the cache: theta changes, and the
 	// cache serves the new value.
 	y := NewVector(dim)
 	y[3] = 2
-	rs.Observe(y, -5)
-	t3 := rs.ThetaCached()
+	cs.Observe(y, -5)
+	t3 := cs.Theta()
 	if t3.Equal(t1, 0) {
 		t.Fatal("theta unchanged after observation — stale cache served")
 	}
-	if want := rs.VInv.MulVec(rs.B); !t3.Equal(want, 0) {
-		t.Fatalf("post-observe theta %v != V^{-1} b %v", t3, want)
+	if want := solve(); !t3.Equal(want, 0) {
+		t.Fatalf("post-observe theta %v != L'^{-1} L^{-1} b %v", t3, want)
 	}
 
-	rs.ObserveSparse(SparseFromDense(y), 2)
-	if rs.ThetaCached().Equal(t3, 0) {
+	cs.ObserveSparse(SparseFromDense(y), 2)
+	if cs.Theta().Equal(t3, 0) {
 		t.Fatal("theta unchanged after sparse observation — stale cache served")
 	}
 
-	before := rs.ThetaCached().Clone()
-	rs.Forget(0.9)
-	if rs.ThetaCached().Equal(before, 0) {
+	before := cs.Theta().Clone()
+	cs.Forget(0.9)
+	if cs.Theta().Equal(before, 0) {
 		t.Fatal("theta unchanged after Forget — stale cache served")
-	}
-
-	// The Cholesky backend honours the same contract.
-	cs := NewCholState(dim, 0.25)
-	cs.Observe(x, 3)
-	c1 := cs.ThetaCached()
-	if c2 := cs.ThetaCached(); &c1[0] != &c2[0] {
-		t.Fatal("chol ThetaCached recomputed between observations")
-	}
-	cs.Observe(y, -5)
-	if cs.ThetaCached().Equal(c1, 0) {
-		t.Fatal("chol theta unchanged after observation — stale cache served")
-	}
-}
-
-// TestSinceRebaseCounter pins the separated counter semantics: Updates
-// counts observations over the state's lifetime and never resets, while
-// SinceRebase counts rank-1 updates absorbed by the current inverse and
-// is zeroed by every rebase — including the one inside Forget, which
-// previously left the fixed cadence phase-locked to the lifetime count.
-func TestSinceRebaseCounter(t *testing.T) {
-	const dim = 4
-	rs := NewRidgeState(dim, 0.25)
-	rs.RebaseEvery = 4
-	rs.DriftThreshold = -1 // fixed cadence only
-	x := NewVector(dim)
-	x[0] = 1
-
-	observe := func(n int) {
-		for i := 0; i < n; i++ {
-			rs.Observe(x, 1)
-		}
-	}
-
-	observe(3)
-	if rs.Updates() != 3 || rs.SinceRebase() != 3 {
-		t.Fatalf("after 3 observes: updates=%d sinceRebase=%d, want 3/3", rs.Updates(), rs.SinceRebase())
-	}
-
-	rs.Forget(0.5)
-	if rs.Updates() != 3 {
-		t.Fatalf("Forget changed Updates: %d, want 3 (observations folded in)", rs.Updates())
-	}
-	if rs.SinceRebase() != 0 {
-		t.Fatalf("Forget's internal rebase left SinceRebase=%d, want 0", rs.SinceRebase())
-	}
-
-	// The fixed cadence now runs from the Forget rebase: three more
-	// updates stay under the every=4 window (the old updates%4 semantics
-	// would have rebased at lifetime update 4), the fourth fires it.
-	observe(3)
-	if rs.SinceRebase() != 3 {
-		t.Fatalf("3 observes after Forget: sinceRebase=%d, want 3", rs.SinceRebase())
-	}
-	observe(1)
-	if rs.SinceRebase() != 0 {
-		t.Fatalf("cadence rebase did not fire: sinceRebase=%d, want 0", rs.SinceRebase())
-	}
-	if rs.Updates() != 7 {
-		t.Fatalf("updates=%d, want 7", rs.Updates())
-	}
-
-	// A drift-triggered rebase resets the cadence window too.
-	rs2 := NewRidgeState(dim, 0.25)
-	rs2.RebaseEvery = 1 << 30
-	rs2.DriftThreshold = 1e-9 // first update trips it
-	rs2.Observe(x, 1)
-	if rs2.SinceRebase() != 0 {
-		t.Fatalf("drift rebase left sinceRebase=%d, want 0", rs2.SinceRebase())
-	}
-	if rs2.Updates() != 1 {
-		t.Fatalf("drift rebase changed updates=%d, want 1", rs2.Updates())
-	}
-}
-
-// TestNewRidgeCoreBackends pins the registry surface: both names (and
-// the empty default) construct, anything else errors.
-func TestNewRidgeCoreBackends(t *testing.T) {
-	if _, err := NewRidgeCore("", 4, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range RidgeBackends() {
-		core, err := NewRidgeCore(name, 4, 0.25)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if core.Dimension() != 4 {
-			t.Fatalf("%s: dimension %d", name, core.Dimension())
-		}
-		if !ValidRidgeBackend(name) {
-			t.Fatalf("%s not valid?", name)
-		}
-	}
-	if _, err := NewRidgeCore("qr", 4, 0.25); err == nil {
-		t.Fatal("unknown backend constructed")
-	}
-	if ValidRidgeBackend("qr") {
-		t.Fatal("unknown backend validated")
 	}
 }
 
@@ -423,7 +401,10 @@ func TestCholForgetBounds(t *testing.T) {
 	if cs.B.MaxAbs() != 0 {
 		t.Fatal("Forget(>=1) did not clear b")
 	}
-	if cs.ThetaCached().MaxAbs() != 0 {
+	if cs.Theta().MaxAbs() != 0 {
 		t.Fatal("theta after full forget not zero")
+	}
+	if cs.Updates() != 1 {
+		t.Fatalf("Forget changed Updates to %d, want 1 (observations folded in)", cs.Updates())
 	}
 }

@@ -210,50 +210,59 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-// --- RidgeState ---
+// --- CholState ---
 
 func TestRidgeRecoverLinearModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dim := 6
 	theta := randomVec(rng, dim)
-	rs := NewRidgeState(dim, 0.01)
+	cs := NewCholState(dim, 0.01)
 	for i := 0; i < 4000; i++ {
 		x := randomVec(rng, dim)
-		rs.Observe(x, theta.Dot(x)+rng.NormFloat64()*0.01)
+		cs.Observe(x, theta.Dot(x)+rng.NormFloat64()*0.01)
 	}
-	got := rs.Theta()
+	got := cs.Theta()
 	if !got.Equal(theta, 0.05) {
 		t.Fatalf("theta = %v, want %v", got, theta)
 	}
 }
 
+// The factor never forms an inverse, but the inverse it implies must
+// stay exact over a long history: widths through L match quadratic
+// forms of a freshly computed V^{-1}.
 func TestRidgeInverseStaysFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dim := 5
-	rs := NewRidgeState(dim, 1)
-	rs.RebaseEvery = 64
+	cs := NewCholState(dim, 1)
+	v := Identity(dim, 1)
 	for i := 0; i < 1000; i++ {
-		rs.Observe(randomVec(rng, dim), rng.Float64())
+		x := randomVec(rng, dim)
+		cs.Observe(x, rng.Float64())
+		v.AddOuterScaled(1, x)
 	}
-	exact, err := rs.V.Inverse()
+	exact, err := v.Inverse()
 	if err != nil {
 		t.Fatalf("exact inverse failed: %v", err)
 	}
-	if d := rs.VInv.MaxAbsDiff(exact); d > 1e-6 {
-		t.Fatalf("incremental inverse drifted by %v", d)
+	for probe := 0; probe < 10; probe++ {
+		x := randomVec(rng, dim)
+		want := math.Sqrt(exact.QuadraticForm(x))
+		if got := cs.ConfidenceWidth(x); math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("probe %d: width %v, exact inverse gives %v", probe, got, want)
+		}
 	}
 }
 
 func TestRidgeConfidenceShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dim := 4
-	rs := NewRidgeState(dim, 1)
+	cs := NewCholState(dim, 1)
 	x := randomVec(rng, dim)
-	before := rs.ConfidenceWidth(x)
+	before := cs.ConfidenceWidth(x)
 	for i := 0; i < 50; i++ {
-		rs.Observe(x, 1)
+		cs.Observe(x, 1)
 	}
-	after := rs.ConfidenceWidth(x)
+	after := cs.ConfidenceWidth(x)
 	if after >= before {
 		t.Fatalf("confidence did not shrink: before %v, after %v", before, after)
 	}
@@ -261,44 +270,50 @@ func TestRidgeConfidenceShrinks(t *testing.T) {
 
 func TestRidgeForgetFullReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	rs := NewRidgeState(3, 2)
+	cs := NewCholState(3, 2)
 	for i := 0; i < 20; i++ {
-		rs.Observe(randomVec(rng, 3), 1)
+		cs.Observe(randomVec(rng, 3), 1)
 	}
-	rs.Forget(1)
-	fresh := NewRidgeState(3, 2)
-	if d := rs.V.MaxAbsDiff(fresh.V); d > 1e-9 {
+	cs.Forget(1)
+	if d := cs.Scatter().MaxAbsDiff(Identity(3, 2)); d > 1e-9 {
 		t.Fatalf("forget(1) did not reset V, diff %v", d)
 	}
-	if rs.B.MaxAbs() > 1e-12 {
-		t.Fatalf("forget(1) did not reset b: %v", rs.B)
+	if cs.B.MaxAbs() > 1e-12 {
+		t.Fatalf("forget(1) did not reset b: %v", cs.B)
 	}
 }
 
 func TestRidgeForgetPartialKeepsDefiniteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	rs := NewRidgeState(4, 0.5)
+	cs := NewCholState(4, 0.5)
+	v := Identity(4, 0.5)
 	for i := 0; i < 30; i++ {
-		rs.Observe(randomVec(rng, 4), rng.Float64())
+		x := randomVec(rng, 4)
+		cs.Observe(x, rng.Float64())
+		v.AddOuterScaled(1, x)
 	}
-	rs.Forget(0.5)
-	if _, err := rs.V.Cholesky(); err != nil {
+	cs.Forget(0.5)
+	scatter := cs.Scatter()
+	if _, err := scatter.Cholesky(); err != nil {
 		t.Fatalf("V not positive definite after partial forget: %v", err)
 	}
-	// inverse must match
-	exact, _ := rs.V.Inverse()
-	if d := rs.VInv.MaxAbsDiff(exact); d > 1e-8 {
-		t.Fatalf("VInv stale after forget: %v", d)
+	// V must be exactly the discounted scatter 0.5*V + 0.5*lambda*I.
+	v.ScaleInPlace(0.5)
+	for i := 0; i < 4; i++ {
+		v.Add(i, i, 0.25)
+	}
+	if d := scatter.MaxAbsDiff(v); d > 1e-8 {
+		t.Fatalf("factor stale after forget: %v", d)
 	}
 }
 
 func TestRidgeForgetNoOp(t *testing.T) {
-	rs := NewRidgeState(2, 1)
-	rs.Observe(Vector{1, 0}, 3)
-	before := rs.V.Clone()
-	rs.Forget(0)
-	if d := rs.V.MaxAbsDiff(before); d != 0 {
-		t.Fatalf("forget(0) changed V by %v", d)
+	cs := NewCholState(2, 1)
+	cs.Observe(Vector{1, 0}, 3)
+	before := cs.L.Clone()
+	cs.Forget(0)
+	if d := cs.L.MaxAbsDiff(before); d != 0 {
+		t.Fatalf("forget(0) changed L by %v", d)
 	}
 }
 
@@ -312,9 +327,10 @@ func TestRidgePanicsOnBadArgs(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero dim", func() { NewRidgeState(0, 1) })
-	mustPanic("zero lambda", func() { NewRidgeState(2, 0) })
-	mustPanic("dim mismatch", func() { NewRidgeState(2, 1).Observe(Vector{1}, 0) })
+	mustPanic("zero dim", func() { NewCholState(0, 1) })
+	mustPanic("zero lambda", func() { NewCholState(2, 0) })
+	mustPanic("dim mismatch", func() { NewCholState(2, 1).Observe(Vector{1}, 0) })
+	mustPanic("sparse dim mismatch", func() { NewCholState(2, 1).ObserveSparse(SparseVector{Dim: 3}, 0) })
 }
 
 // --- property-based tests ---
@@ -326,13 +342,13 @@ func TestQuickRidgeMatchesClosedForm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + rng.Intn(6)
 		n := rng.Intn(40)
-		rs := NewRidgeState(dim, 1)
+		cs := NewCholState(dim, 1)
 		v := Identity(dim, 1)
 		b := NewVector(dim)
 		for i := 0; i < n; i++ {
 			x := randomVec(rng, dim)
 			r := rng.NormFloat64()
-			rs.Observe(x, r)
+			cs.Observe(x, r)
 			v.AddOuterScaled(1, x)
 			b.AddScaled(r, x)
 		}
@@ -340,7 +356,7 @@ func TestQuickRidgeMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return rs.Theta().Equal(want, 1e-6*(1+want.MaxAbs()))
+		return cs.Theta().Equal(want, 1e-6*(1+want.MaxAbs()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -353,19 +369,19 @@ func TestQuickConfidenceWidthPositive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 1 + rng.Intn(6)
-		rs := NewRidgeState(dim, 0.5)
+		cs := NewCholState(dim, 0.5)
 		for i := 0; i < rng.Intn(30); i++ {
-			rs.Observe(randomVec(rng, dim), rng.NormFloat64())
+			cs.Observe(randomVec(rng, dim), rng.NormFloat64())
 		}
 		x := randomVec(rng, dim)
-		w := rs.ConfidenceWidth(x)
+		w := cs.ConfidenceWidth(x)
 		if w < 0 {
 			return false
 		}
 		if x.Norm2() > 1e-9 && w == 0 {
 			return false
 		}
-		return rs.ConfidenceWidth(NewVector(dim)) == 0
+		return cs.ConfidenceWidth(NewVector(dim)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -206,7 +206,7 @@ func (m *Matrix) BackSolveTransposed(y Vector) Vector {
 }
 
 // Inverse computes the matrix inverse via Cholesky. Intended for tests and
-// for re-baselining the incremental inverse; the hot path uses RidgeState.
+// diagnostics; the ridge core (CholState) never forms an inverse.
 func (m *Matrix) Inverse() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: inverse of non-square %dx%d matrix", m.Rows, m.Cols)

@@ -21,102 +21,8 @@ func benchContexts(dim, n int, seed int64) []Vector {
 	return out
 }
 
-// BenchmarkRidgeObserveScore measures the C2UCB hot path — folding a
-// round's observations into the ridge state and scoring a candidate
-// batch (Theta mat-vec plus per-arm confidence widths) — at a context
-// dimension typical of the benchmark schemas.
-func BenchmarkRidgeObserveScore(b *testing.B) {
-	const dim = 64
-	const arms = 48
-	contexts := benchContexts(dim, arms, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := NewRidgeState(dim, 0.25)
-		for r := 0; r < 8; r++ {
-			for _, x := range contexts[:8] {
-				rs.Observe(x, 1.0)
-			}
-			theta := rs.Theta()
-			var sink float64
-			for _, x := range contexts {
-				sink += theta.Dot(x) + rs.ConfidenceWidth(x)
-			}
-			benchSink = sink
-		}
-	}
-}
-
-// BenchmarkRidgeObserveScoreSparse is BenchmarkRidgeObserveScore through
-// the sparse kernels on the same logical vectors — the bandit's native
-// path since contexts went sparse. The ratio against the dense benchmark
-// is the kernel-level win at this dimension/sparsity.
-func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
-	const dim = 64
-	const arms = 48
-	contexts := SparseAll(benchContexts(dim, arms, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := NewRidgeState(dim, 0.25)
-		for r := 0; r < 8; r++ {
-			for _, x := range contexts[:8] {
-				rs.ObserveSparse(x, 1.0)
-			}
-			theta := rs.Theta()
-			var sink float64
-			for _, x := range contexts {
-				sink += theta.DotSparse(x) + rs.ConfidenceWidthSparse(x)
-			}
-			benchSink = sink
-		}
-	}
-}
-
-// BenchmarkThetaCached measures the memoised theta read at the TPC-DS
-// context dimension (83): between observations every call after the
-// first is a cache hit, which is exactly the repeated same-round
-// profile C2UCB.Scores/ExpectedScores have. Compare
-// BenchmarkThetaRecompute for what each of those calls paid before the
-// memo.
-func BenchmarkThetaCached(b *testing.B) {
-	const dim = 83
-	contexts := SparseAll(benchContexts(dim, 32, 1))
-	rs := NewRidgeState(dim, 0.25)
-	for _, x := range contexts {
-		rs.ObserveSparse(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += rs.ThetaCached()[0]
-	}
-	benchSink = sink
-}
-
-// BenchmarkThetaRecompute is the dense V^{-1}b mat-vec the memo
-// amortises — the per-call cost of the pre-memo Theta().
-func BenchmarkThetaRecompute(b *testing.B) {
-	const dim = 83
-	contexts := SparseAll(benchContexts(dim, 32, 1))
-	rs := NewRidgeState(dim, 0.25)
-	for _, x := range contexts {
-		rs.ObserveSparse(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += rs.VInv.MulVec(rs.B)[0]
-	}
-	benchSink = sink
-}
-
-// BenchmarkCholObserve measures the factored backend's rank-1
-// cholupdate on sparse contexts at the TPC-DS dimension — the cost that
-// replaces the Sherman–Morrison dense outer update plus its share of
-// drift-triggered exact rebases (the factored path has neither).
+// BenchmarkCholObserve measures the ridge core's rank-1 cholupdate on
+// sparse contexts at the TPC-DS dimension, state construction included.
 func BenchmarkCholObserve(b *testing.B) {
 	const dim = 83
 	contexts := SparseAll(benchContexts(dim, 48, 1))
@@ -127,23 +33,6 @@ func BenchmarkCholObserve(b *testing.B) {
 		for _, x := range contexts {
 			cs.ObserveSparse(x, 1.0)
 		}
-	}
-}
-
-// BenchmarkRidgeForget measures shift-scaled forgetting (scatter-matrix
-// discount plus the Cholesky rebase), which runs on every detected
-// workload shift.
-func BenchmarkRidgeForget(b *testing.B) {
-	const dim = 64
-	contexts := benchContexts(dim, 32, 2)
-	rs := NewRidgeState(dim, 0.25)
-	for _, x := range contexts {
-		rs.Observe(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs.Forget(0.5)
 	}
 }
 
@@ -165,28 +54,3 @@ func BenchmarkCholObserveFused(b *testing.B) {
 		cs.ObserveSparse(contexts[i%len(contexts)], 1.0)
 	}
 }
-
-// BenchmarkForgetLowRank measures the budgeted O(k·d²) structured
-// Forget on the same warm state shape as BenchmarkRidgeForget (whose
-// exact-rebase default is the baseline). The rebase schedules are
-// disabled so every iteration times the low-rank correction itself,
-// never an amortised exact refactorisation the repeated-Forget loop
-// would otherwise trip.
-func BenchmarkForgetLowRank(b *testing.B) {
-	const dim = 64
-	contexts := benchContexts(dim, 32, 2)
-	rs := NewRidgeState(dim, 0.25)
-	rs.ForgetRank = 8
-	rs.RebaseEvery = 1 << 30
-	rs.DriftThreshold = -1
-	for _, x := range contexts {
-		rs.Observe(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs.Forget(0.5)
-	}
-}
-
-var benchSink float64

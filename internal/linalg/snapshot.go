@@ -2,63 +2,33 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 
 	"dbabandits/internal/floatenc"
 )
 
-// RidgeSnapshot is the serialisable state of a RidgeCore: everything a
+// RidgeSnapshot is the serialisable state of a CholState: everything a
 // fresh process needs to continue the regression bit for bit. Float
 // payloads are packed via floatenc (base64 of the IEEE-754 bits), so
-// no decimal round-trip can perturb the restored factors; a restored
-// core's every subsequent Theta/width/Observe result is byte-identical
-// to the uninterrupted core's. The theta memo is deliberately not
+// no decimal round-trip can perturb the restored factor; a restored
+// state's every subsequent Theta/width/Observe result is byte-identical
+// to the uninterrupted state's. The theta memo is deliberately not
 // persisted — it is a pure function of the persisted state and is
 // recomputed (to the same bits) on first use.
 type RidgeSnapshot struct {
-	// Backend names the implementation the snapshot came from
-	// (BackendSM or BackendChol); RestoreRidgeCore rebuilds that
-	// backend and refuses a mismatched one.
-	Backend string
 	Dim     int
 	Lambda  float64
 	Updates int
 	// B is the response accumulator (floatenc, Dim values).
 	B string
-
-	// Sherman–Morrison backend state: the scatter matrix, its
-	// maintained inverse, and the rebase-schedule position.
-	V              string  `json:",omitempty"`
-	VInv           string  `json:",omitempty"`
-	SinceRebase    int     `json:",omitempty"`
-	Drift          float64 `json:",omitempty"`
-	RebaseEvery    int     `json:",omitempty"`
-	DriftThreshold float64 `json:",omitempty"`
-
-	// Factored (Cholesky) backend state: the lower-triangular factor.
-	L string `json:",omitempty"`
+	// L is the lower-triangular Cholesky factor of V (floatenc, Dim*Dim
+	// values, row-major).
+	L string
 }
 
-// Snapshot implements RidgeCore for the Sherman–Morrison backend.
-func (rs *RidgeState) Snapshot() *RidgeSnapshot {
-	return &RidgeSnapshot{
-		Backend:        BackendSM,
-		Dim:            rs.Dim,
-		Lambda:         rs.Lambda,
-		Updates:        rs.updates,
-		B:              floatenc.Encode(rs.B),
-		V:              floatenc.Encode(rs.V.Data),
-		VInv:           floatenc.Encode(rs.VInv.Data),
-		SinceRebase:    rs.sinceRebase,
-		Drift:          rs.drift,
-		RebaseEvery:    rs.RebaseEvery,
-		DriftThreshold: rs.DriftThreshold,
-	}
-}
-
-// Snapshot implements RidgeCore for the factored (Cholesky) backend.
+// Snapshot returns the serialisable state; RestoreCholState rebuilds it.
 func (cs *CholState) Snapshot() *RidgeSnapshot {
 	return &RidgeSnapshot{
-		Backend: BackendChol,
 		Dim:     cs.Dim,
 		Lambda:  cs.Lambda,
 		Updates: cs.updates,
@@ -67,52 +37,52 @@ func (cs *CholState) Snapshot() *RidgeSnapshot {
 	}
 }
 
-// RestoreRidgeCore rebuilds the backend a snapshot was taken from,
-// positioned exactly where the snapshotted core was: same factors,
-// same counters, same rebase-schedule position. The restored core's
-// subsequent results are bit-identical to the original's.
-func RestoreRidgeCore(s *RidgeSnapshot) (RidgeCore, error) {
+// RestoreCholState rebuilds a state from its snapshot, positioned
+// exactly where the snapshotted state was: same factor, same counters.
+// The restored state's subsequent results are bit-identical to the
+// original's.
+//
+// The factor is validated before use, because a corrupt one would not
+// fail later — it would silently steer every score. L must be lower
+// triangular with a strictly positive diagonal, and every entry of L
+// and B must be finite.
+func RestoreCholState(s *RidgeSnapshot) (*CholState, error) {
 	if s == nil {
 		return nil, fmt.Errorf("linalg: nil ridge snapshot")
 	}
-	if s.Dim <= 0 || s.Lambda <= 0 {
+	if s.Dim <= 0 || !(s.Lambda > 0) || math.IsInf(s.Lambda, 0) {
 		return nil, fmt.Errorf("linalg: ridge snapshot with dim %d, lambda %g", s.Dim, s.Lambda)
 	}
 	b, err := floatenc.DecodeLen(s.B, s.Dim)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: ridge snapshot B: %w", err)
 	}
-	switch s.Backend {
-	case BackendSM:
-		v, err := floatenc.DecodeLen(s.V, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot V: %w", err)
-		}
-		vinv, err := floatenc.DecodeLen(s.VInv, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot VInv: %w", err)
-		}
-		rs := NewRidgeState(s.Dim, s.Lambda)
-		copy(rs.V.Data, v)
-		copy(rs.VInv.Data, vinv)
-		copy(rs.B, b)
-		rs.updates = s.Updates
-		rs.sinceRebase = s.SinceRebase
-		rs.drift = s.Drift
-		rs.RebaseEvery = s.RebaseEvery
-		rs.DriftThreshold = s.DriftThreshold
-		return rs, nil
-	case BackendChol:
-		l, err := floatenc.DecodeLen(s.L, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot L: %w", err)
-		}
-		cs := NewCholState(s.Dim, s.Lambda)
-		copy(cs.L.Data, l)
-		copy(cs.B, b)
-		cs.rescanProfile()
-		cs.updates = s.Updates
-		return cs, nil
+	l, err := floatenc.DecodeLen(s.L, s.Dim*s.Dim)
+	if err != nil {
+		return nil, fmt.Errorf("linalg: ridge snapshot L: %w", err)
 	}
-	return nil, fmt.Errorf("linalg: ridge snapshot for unknown backend %q (available: %v)", s.Backend, RidgeBackends())
+	for i, v := range b {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("linalg: ridge snapshot B[%d] = %g is not finite", i, v)
+		}
+	}
+	n := s.Dim
+	for i := 0; i < n; i++ {
+		for j, v := range l[i*n : (i+1)*n] {
+			switch {
+			case math.IsNaN(v) || math.IsInf(v, 0):
+				return nil, fmt.Errorf("linalg: ridge snapshot L[%d][%d] = %g is not finite", i, j, v)
+			case j == i && v <= 0:
+				return nil, fmt.Errorf("linalg: ridge snapshot L[%d][%d] = %g: factor diagonal must be positive", i, j, v)
+			case j > i && v != 0:
+				return nil, fmt.Errorf("linalg: ridge snapshot L[%d][%d] = %g: factor must be lower triangular", i, j, v)
+			}
+		}
+	}
+	cs := NewCholState(s.Dim, s.Lambda)
+	copy(cs.L.Data, l)
+	copy(cs.B, b)
+	cs.rescanProfile()
+	cs.updates = s.Updates
+	return cs, nil
 }

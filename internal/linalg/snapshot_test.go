@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"dbabandits/internal/floatenc"
 )
 
 // feed drives a core through a mixed observation history: dense and
 // sparse observes, interleaved scoring reads (which exercise the theta
 // memo), and a mid-stream Forget.
-func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
+func feed(t *testing.T, core *CholState, dim, steps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < steps; i++ {
@@ -30,7 +33,7 @@ func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
 			}
 			core.ObserveSparse(sx, rng.Float64())
 		default:
-			core.ThetaCached()
+			core.Theta()
 			if i == steps/2 {
 				core.Forget(0.3)
 			}
@@ -39,7 +42,7 @@ func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
 }
 
 // fingerprint captures bit-exact outputs of every scoring entry point.
-func fingerprint(core RidgeCore, dim int, seed int64) []uint64 {
+func fingerprint(core *CholState, dim int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
 	for _, v := range core.Theta() {
@@ -68,92 +71,108 @@ func fingerprint(core RidgeCore, dim int, seed int64) []uint64 {
 	return out
 }
 
-// TestSnapshotRoundTrip snapshots each backend mid-history (through a
+// TestSnapshotRoundTrip snapshots the state mid-history (through a
 // JSON round-trip, as a checkpoint would), restores it, continues both
-// the original and the restored core through identical further
+// the original and the restored state through identical further
 // observations, and requires bit-identical outputs from every scoring
-// path.
+// path. The subtest is named after the core it round-trips.
 func TestSnapshotRoundTrip(t *testing.T) {
 	const dim = 12
-	for _, backend := range RidgeBackends() {
-		t.Run(backend, func(t *testing.T) {
-			core, err := NewRidgeCore(backend, dim, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(t, core, dim, 40, 11)
+	t.Run("chol", func(t *testing.T) {
+		core := NewCholState(dim, 0.5)
+		feed(t, core, dim, 40, 11)
 
-			raw, err := json.Marshal(core.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snap RidgeSnapshot
-			if err := json.Unmarshal(raw, &snap); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreRidgeCore(&snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Updates() != core.Updates() {
-				t.Fatalf("updates %d, want %d", restored.Updates(), core.Updates())
-			}
+		raw, err := json.Marshal(core.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap RidgeSnapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreCholState(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Updates() != core.Updates() {
+			t.Fatalf("updates %d, want %d", restored.Updates(), core.Updates())
+		}
 
-			// Continue both through the same further history; every
-			// subsequent output must match bit for bit.
-			feed(t, core, dim, 30, 23)
-			feed(t, restored, dim, 30, 23)
-			want := fingerprint(core, dim, 5)
-			got := fingerprint(restored, dim, 5)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fingerprint %d: %x != %x", i, got[i], want[i])
-				}
+		// Continue both through the same further history; every subsequent
+		// output must match bit for bit.
+		feed(t, core, dim, 30, 23)
+		feed(t, restored, dim, 30, 23)
+		want := fingerprint(core, dim, 5)
+		got := fingerprint(restored, dim, 5)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fingerprint %d: %x != %x", i, got[i], want[i])
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestSnapshotRebaseSchedule pins that the SM backend's rebase position
-// survives the round trip: a restored state must rebase on exactly the
-// same future update as the original.
-func TestSnapshotRebaseSchedule(t *testing.T) {
-	rs := NewRidgeState(4, 1)
-	rs.RebaseEvery = 10
-	rs.DriftThreshold = -1
-	feed(t, rs, 4, 17, 3)
-
-	restored, err := RestoreRidgeCore(rs.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := restored.(*RidgeState)
-	if rr.SinceRebase() != rs.SinceRebase() || rr.Drift() != rs.Drift() {
-		t.Fatalf("rebase position (%d, %g), want (%d, %g)",
-			rr.SinceRebase(), rr.Drift(), rs.SinceRebase(), rs.Drift())
-	}
-	if rr.RebaseEvery != rs.RebaseEvery || rr.DriftThreshold != rs.DriftThreshold {
-		t.Fatalf("schedule (%d, %g), want (%d, %g)",
-			rr.RebaseEvery, rr.DriftThreshold, rs.RebaseEvery, rs.DriftThreshold)
-	}
-}
-
-// TestSnapshotErrors pins the refusal paths.
+// TestSnapshotErrors pins the refusal paths for malformed snapshots.
 func TestSnapshotErrors(t *testing.T) {
-	if _, err := RestoreRidgeCore(nil); err == nil {
+	if _, err := RestoreCholState(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := RestoreRidgeCore(&RidgeSnapshot{Backend: "sm", Dim: 0, Lambda: 1}); err == nil {
+	if _, err := RestoreCholState(&RidgeSnapshot{Dim: 0, Lambda: 1}); err == nil {
 		t.Fatal("zero dim accepted")
 	}
-	good := NewRidgeState(3, 1).Snapshot()
-	good.Backend = "nope"
-	if _, err := RestoreRidgeCore(good); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, lambda := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		s := NewCholState(3, 1).Snapshot()
+		s.Lambda = lambda
+		if _, err := RestoreCholState(s); err == nil {
+			t.Fatalf("lambda %v accepted", lambda)
+		}
 	}
 	bad := NewCholState(3, 1).Snapshot()
 	bad.L = bad.L[:4]
-	if _, err := RestoreRidgeCore(bad); err == nil {
+	if _, err := RestoreCholState(bad); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// TestRestoreRejectsBadFactor corrupts one entry of an otherwise valid
+// snapshot per case and requires the restore to fail with an error
+// naming the defect: a corrupt factor must never be resumed silently.
+func TestRestoreRejectsBadFactor(t *testing.T) {
+	const dim = 5
+	src := NewCholState(dim, 0.5)
+	feed(t, src, dim, 20, 7)
+	for _, tc := range []struct {
+		name   string
+		mutate func(l, b []float64)
+		want   string
+	}{
+		{"NaN in L", func(l, b []float64) { l[3*dim+1] = math.NaN() }, "not finite"},
+		{"Inf in L", func(l, b []float64) { l[2*dim+2] = math.Inf(1) }, "not finite"},
+		{"NaN in B", func(l, b []float64) { b[4] = math.NaN() }, "not finite"},
+		{"-Inf in B", func(l, b []float64) { b[0] = math.Inf(-1) }, "not finite"},
+		{"zero diagonal", func(l, b []float64) { l[1*dim+1] = 0 }, "diagonal must be positive"},
+		{"negative diagonal", func(l, b []float64) { l[4*dim+4] = -0.5 }, "diagonal must be positive"},
+		{"entry above diagonal", func(l, b []float64) { l[0*dim+3] = 1e-12 }, "lower triangular"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := src.Snapshot()
+			l, err := floatenc.DecodeLen(snap.L, dim*dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := floatenc.DecodeLen(snap.B, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(l, b)
+			snap.L, snap.B = floatenc.Encode(l), floatenc.Encode(b)
+			_, err = RestoreCholState(snap)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := RestoreCholState(src.Snapshot()); err != nil {
+		t.Fatalf("unmodified snapshot rejected: %v", err)
 	}
 }

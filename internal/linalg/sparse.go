@@ -9,8 +9,9 @@ import (
 // parallel slices of ascending, unique indices and their values. The
 // C2UCB context vectors are the motivating case — at most a handful of
 // non-zeros (one per index key column plus three derived statistics) out
-// of one dimension per schema column — so the sparse kernels below turn
-// the bandit's per-arm O(d²) quadratic forms into O(nnz²).
+// of one dimension per schema column — so the sparse kernels touch only
+// the stored entries, and the ridge core's sparse solves start at a
+// context's first non-zero.
 //
 // Every sparse kernel iterates the stored entries in ascending index
 // order, exactly the order in which the dense kernels meet the same
@@ -104,65 +105,4 @@ func (v Vector) AddScaledSparse(alpha float64, s SparseVector) Vector {
 		v[i] += alpha * s.Val[k]
 	}
 	return v
-}
-
-// QuadraticFormSparse computes x' * m * x touching only the nnz² matrix
-// entries addressed by x's stored indices — O(nnz²) against the dense
-// kernel's O(d²).
-func (m *Matrix) QuadraticFormSparse(x SparseVector) float64 {
-	n := x.Dim
-	if m.Rows != n || m.Cols != n {
-		panic(fmt.Sprintf("linalg: sparse quadratic form shape mismatch %dx%d with %d", m.Rows, m.Cols, n))
-	}
-	var total float64
-	for k, i := range x.Idx {
-		xi := x.Val[k]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*n : (i+1)*n]
-		var s float64
-		for l, j := range x.Idx {
-			s += row[j] * x.Val[l]
-		}
-		total += xi * s
-	}
-	return total
-}
-
-// MulVecSparse computes m * x into a new dense vector in O(rows*nnz).
-func (m *Matrix) MulVecSparse(x SparseVector) Vector {
-	if m.Cols != x.Dim {
-		panic(fmt.Sprintf("linalg: sparse mulvec shape mismatch %dx%d * %d", m.Rows, m.Cols, x.Dim))
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for k, j := range x.Idx {
-			s += row[j] * x.Val[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// AddOuterScaledSparse adds alpha * x*x' to m in place, touching only the
-// nnz² addressed entries. Like AddOuterScaled it is only valid for
-// symmetric accumulation (the bandit scatter matrix V += x x').
-func (m *Matrix) AddOuterScaledSparse(alpha float64, x SparseVector) {
-	n := x.Dim
-	if m.Rows != n || m.Cols != n {
-		panic(fmt.Sprintf("linalg: sparse outer shape mismatch %dx%d += %d outer", m.Rows, m.Cols, n))
-	}
-	for k, i := range x.Idx {
-		xi := alpha * x.Val[k]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*n : (i+1)*n]
-		for l, j := range x.Idx {
-			row[j] += xi * x.Val[l]
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -27,14 +26,6 @@ func randSparse(rng *rand.Rand, dim int, signed bool) SparseVector {
 	return s
 }
 
-func randMatrix(rng *rand.Rand, n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
 // TestSparseKernelsBitIdentical is the core equivalence property: every
 // sparse kernel must produce bit-identical results to its dense
 // counterpart on the same logical vector — sparsity is an optimisation,
@@ -46,7 +37,10 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 		signed := trial%2 == 1
 		s := randSparse(rng, dim, signed)
 		d := s.Dense()
-		m := randMatrix(rng, dim)
+		cs := NewCholState(dim, 0.25)
+		for k := 0; k < 4; k++ {
+			cs.ObserveSparse(randSparse(rng, dim, signed), rng.NormFloat64())
+		}
 
 		w := make(Vector, dim)
 		for i := range w {
@@ -55,26 +49,11 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 		if got, want := w.DotSparse(s), w.Dot(d); got != want {
 			t.Fatalf("trial %d: DotSparse %v != Dot %v", trial, got, want)
 		}
-		if got, want := m.QuadraticFormSparse(s), m.QuadraticForm(d); got != want {
-			t.Fatalf("trial %d: QuadraticFormSparse %v != QuadraticForm %v", trial, got, want)
-		}
-		mv, mvd := m.MulVecSparse(s), m.MulVec(d)
-		for i := range mv {
-			if mv[i] != mvd[i] {
-				t.Fatalf("trial %d: MulVecSparse[%d] %v != %v", trial, i, mv[i], mvd[i])
-			}
+		if got, want := cs.ConfidenceWidthSparse(s), cs.ConfidenceWidth(d); got != want {
+			t.Fatalf("trial %d: ConfidenceWidthSparse %v != ConfidenceWidth %v", trial, got, want)
 		}
 
 		alpha := rng.NormFloat64()
-		ms, md := m.Clone(), m.Clone()
-		ms.AddOuterScaledSparse(alpha, s)
-		md.AddOuterScaled(alpha, d)
-		for i := range ms.Data {
-			if ms.Data[i] != md.Data[i] {
-				t.Fatalf("trial %d: AddOuterScaledSparse data[%d] %v != %v", trial, i, ms.Data[i], md.Data[i])
-			}
-		}
-
 		vs, vd := w.Clone(), w.Clone()
 		vs.AddScaledSparse(alpha, s)
 		vd.AddScaled(alpha, d)
@@ -87,22 +66,19 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 }
 
 // TestRidgeSparseObserveBitIdentical drives two ridge states through the
-// same observation stream — one densely, one sparsely — across rebases
-// and a mid-stream Forget, asserting the full state (V, VInv, B) and the
-// downstream scores stay bit-identical.
+// same observation stream — one densely, one sparsely — across a
+// mid-stream Forget, asserting the full state (L, B) and the downstream
+// scores stay bit-identical.
 func TestRidgeSparseObserveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const dim = 24
-	dense := NewRidgeState(dim, 0.25)
-	sparse := NewRidgeState(dim, 0.25)
+	dense := NewCholState(dim, 0.25)
+	sparse := NewCholState(dim, 0.25)
 	check := func(step int) {
 		t.Helper()
-		for i := range dense.V.Data {
-			if dense.V.Data[i] != sparse.V.Data[i] {
-				t.Fatalf("step %d: V diverged at %d: %v vs %v", step, i, dense.V.Data[i], sparse.V.Data[i])
-			}
-			if dense.VInv.Data[i] != sparse.VInv.Data[i] {
-				t.Fatalf("step %d: VInv diverged at %d: %v vs %v", step, i, dense.VInv.Data[i], sparse.VInv.Data[i])
+		for i := range dense.L.Data {
+			if dense.L.Data[i] != sparse.L.Data[i] {
+				t.Fatalf("step %d: L diverged at %d: %v vs %v", step, i, dense.L.Data[i], sparse.L.Data[i])
 			}
 		}
 		for i := range dense.B {
@@ -131,66 +107,6 @@ func TestRidgeSparseObserveBitIdentical(t *testing.T) {
 	}
 	if dense.Updates() != sparse.Updates() {
 		t.Fatalf("update counts diverged: %d vs %d", dense.Updates(), sparse.Updates())
-	}
-}
-
-// TestAdaptiveRebaseFiresOnDrift: heavy rank-1 updates against a weak
-// prior accumulate drift quickly, so a low threshold must trigger an
-// exact re-baseline long before the fixed cadence, leaving VInv equal to
-// a fresh inverse of V.
-func TestAdaptiveRebaseFiresOnDrift(t *testing.T) {
-	rs := NewRidgeState(8, 0.25)
-	rs.DriftThreshold = 1.5
-	rng := rand.New(rand.NewSource(7))
-	fired := false
-	for i := 0; i < 50; i++ {
-		rs.Observe(randomVec(rng, 8), 1)
-		if rs.Drift() == 0 && rs.Updates() > 0 && rs.Updates()%256 != 0 {
-			fired = true
-			inv, err := rs.V.Clone().Inverse()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := rs.VInv.MaxAbsDiff(inv); diff > 1e-9 {
-				t.Fatalf("post-rebase VInv not exact: diff %v", diff)
-			}
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("adaptive rebase never fired despite low threshold")
-	}
-}
-
-// TestAdaptiveRebaseDisabled: a negative threshold must leave only the
-// fixed cadence — drift accumulates unchecked until update 256.
-func TestAdaptiveRebaseDisabled(t *testing.T) {
-	rs := NewRidgeState(4, 0.25)
-	rs.DriftThreshold = -1
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 255; i++ {
-		rs.Observe(randomVec(rng, 4), 1)
-		if rs.Drift() == 0 {
-			t.Fatalf("rebase fired at update %d with adaptive schedule disabled", rs.Updates())
-		}
-	}
-	rs.Observe(randomVec(rng, 4), 1)
-	if rs.Drift() != 0 {
-		t.Fatal("fixed cadence did not fire at update 256")
-	}
-}
-
-// TestDriftIncrementIsDenominatorShare pins the drift bookkeeping:
-// one update contributes q/(1+q), the relative weight of the
-// Sherman–Morrison correction.
-func TestDriftIncrementIsDenominatorShare(t *testing.T) {
-	rs := NewRidgeState(3, 0.5)
-	x := Vector{1, 2, 0}
-	q := rs.VInv.QuadraticForm(x)
-	rs.Observe(x, 1)
-	want := q / (1 + q)
-	if math.Abs(rs.Drift()-want) > 1e-12 {
-		t.Fatalf("drift = %v, want q/(1+q) = %v", rs.Drift(), want)
 	}
 }
 
@@ -229,7 +145,6 @@ func TestSparseVectorUtils(t *testing.T) {
 
 func TestSparseKernelDimChecks(t *testing.T) {
 	s := SparseVector{Dim: 3, Idx: []int{0}, Val: []float64{1}}
-	m := NewMatrix(2, 2)
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -241,8 +156,7 @@ func TestSparseKernelDimChecks(t *testing.T) {
 	}
 	mustPanic("DotSparse", func() { NewVector(2).DotSparse(s) })
 	mustPanic("AddScaledSparse", func() { NewVector(2).AddScaledSparse(1, s) })
-	mustPanic("QuadraticFormSparse", func() { m.QuadraticFormSparse(s) })
-	mustPanic("MulVecSparse", func() { m.MulVecSparse(s) })
-	mustPanic("AddOuterScaledSparse", func() { m.AddOuterScaledSparse(1, s) })
-	mustPanic("ObserveSparse", func() { NewRidgeState(2, 1).ObserveSparse(s, 0) })
+	mustPanic("ObserveSparse", func() { NewCholState(2, 1).ObserveSparse(s, 0) })
+	mustPanic("ConfidenceWidthSparse", func() { NewCholState(2, 1).ConfidenceWidthSparse(s) })
+	mustPanic("ConfidenceWidthBatch", func() { NewCholState(2, 1).ConfidenceWidthBatch([]SparseVector{s}, make([]float64, 1)) })
 }

@@ -1,11 +1,11 @@
-// Package linalg provides the small dense linear-algebra kernel used by
-// the C2UCB bandit: vectors, square matrices, Cholesky factorisation and
-// incremental (Sherman–Morrison) inverse maintenance for the ridge
-// regression scatter matrix.
+// Package linalg provides the small linear-algebra kernel used by the
+// C2UCB bandit: dense and sparse vectors, square matrices, and the ridge
+// regression itself (CholState), kept as the Cholesky factor of its
+// scatter matrix and updated by rank-1 rotations.
 //
 // The package is deliberately minimal and allocation-conscious: the bandit
-// performs one rank-1 update per played arm per round and one quadratic
-// form per candidate arm per round, so those two operations dominate.
+// performs one rank-1 update per played arm per round and one confidence
+// width per candidate arm per round, so those two operations dominate.
 package linalg
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dbabandits/internal/linalg"
-	"dbabandits/internal/runner"
 )
 
 // C2UCB is the contextual combinatorial UCB bandit (Qin, Chen & Zhu,
@@ -16,18 +15,16 @@ import (
 //
 // Contexts are sparse: an index's context has at most one non-zero per
 // key column plus three derived components, so scoring and updating route
-// through the O(nnz²) sparse ridge kernels (bit-identical to the dense
-// path — see internal/linalg).
+// through the sparse ridge kernels (bit-identical to the dense path — see
+// internal/linalg).
 //
-// The ridge regression itself is pluggable (linalg.RidgeCore): the
-// default Sherman–Morrison explicit-inverse backend, or the factored
-// Cholesky backend that maintains no inverse at all. Scoring goes
-// through the backend's memoised theta and batched width kernels, so
-// theta is derived at most once per state change and the per-arm work
-// is one dot product plus one batched quadratic form.
+// The ridge regression is a linalg.CholState, the Cholesky factor of
+// V maintained by rank-1 updates. Scoring goes through its memoised
+// theta and batched width kernel, so theta is derived at most once per
+// state change and the per-arm work is one dot product plus one share
+// of a blocked triangular solve.
 type C2UCB struct {
-	state   linalg.RidgeCore
-	backend string // resolved ridge-backend name the bandit runs on
+	state *linalg.CholState
 	// Alpha returns the exploration-boost factor for round t (1-based).
 	Alpha func(t int) float64
 	round int
@@ -37,29 +34,7 @@ type C2UCB struct {
 	// (simulated seconds here, where queries range from milliseconds to
 	// hundreds of seconds).
 	rewardScale float64
-
-	// scoreWorkers bounds the worker pool Scores/ExpectedScores fan the
-	// candidate batch across; <= 1 scores serially on the caller's
-	// goroutine. Scores are byte-identical at any setting: the range is
-	// partitioned deterministically by arm index, each output slot is
-	// written by exactly one shard, and every shard reads only immutable
-	// backend state through its own scratch.
-	scoreWorkers int
-	// scratch holds one backend scoring scratch per shard, grown lazily
-	// and reused across rounds (scratch is sized by dimension only, so it
-	// survives snapshot restores — Restore enforces matching dimensions).
-	scratch []*linalg.BatchScratch
-
-	// forgetRank mirrors the SM backend's low-rank Forget budget so a
-	// snapshot restore (which rebuilds the backend) can re-apply it.
-	forgetRank int
 }
-
-// parallelScoreMinArms is the batch size below which Scores stays
-// serial even when a worker pool is configured: goroutine fan-out costs
-// more than solving a handful of arms. The cutoff changes scheduling
-// only, never bytes — scores are identical either way.
-const parallelScoreMinArms = 64
 
 // DefaultAlpha is the exploration schedule used by the experiments: a
 // slowly growing sqrt-log factor as in the C2UCB analysis.
@@ -68,83 +43,15 @@ func DefaultAlpha(t int) float64 {
 }
 
 // NewC2UCB creates the bandit with context dimension dim and ridge
-// regularisation lambda on the default (Sherman–Morrison) backend. A
-// nil alpha uses DefaultAlpha.
+// regularisation lambda. A nil alpha uses DefaultAlpha.
 func NewC2UCB(dim int, lambda float64, alpha func(int) float64) *C2UCB {
-	b, err := NewC2UCBBackend(linalg.BackendSM, dim, lambda, alpha)
-	if err != nil {
-		panic(err) // unreachable: the default backend always constructs
-	}
-	return b
-}
-
-// NewC2UCBBackend creates the bandit on the named ridge backend ("" or
-// linalg.BackendSM for Sherman–Morrison, linalg.BackendChol for the
-// factored Cholesky core). A nil alpha uses DefaultAlpha.
-func NewC2UCBBackend(backend string, dim int, lambda float64, alpha func(int) float64) (*C2UCB, error) {
-	core, err := linalg.NewRidgeCore(backend, dim, lambda)
-	if err != nil {
-		return nil, err
-	}
-	if backend == "" {
-		backend = linalg.BackendSM
-	}
 	if alpha == nil {
 		alpha = DefaultAlpha
 	}
 	return &C2UCB{
-		state:       core,
-		backend:     backend,
+		state:       linalg.NewCholState(dim, lambda),
 		Alpha:       alpha,
 		rewardScale: 1,
-	}, nil
-}
-
-// SetRebaseSchedule overrides the Sherman–Morrison backend's
-// inverse-maintenance schedule: every is the fixed fallback cadence (0
-// keeps the default), driftThreshold the adaptive rank-1 drift trigger
-// (0 keeps the default, negative disables the adaptive schedule). See
-// linalg.RidgeState. The factored backend maintains no inverse, so it
-// has no schedule and the call is a no-op.
-func (b *C2UCB) SetRebaseSchedule(every int, driftThreshold float64) {
-	if rs, ok := b.state.(*linalg.RidgeState); ok {
-		rs.RebaseEvery = every
-		rs.DriftThreshold = driftThreshold
-	}
-}
-
-// SetScoreWorkers bounds the worker pool the batched arm scoring fans
-// across; n <= 1 (the default) scores serially. Any setting produces
-// byte-identical scores — this is purely a latency knob.
-func (b *C2UCB) SetScoreWorkers(n int) { b.scoreWorkers = n }
-
-// ScoreWorkers reports the configured scoring worker bound.
-func (b *C2UCB) ScoreWorkers() int { return b.scoreWorkers }
-
-// SetForgetRank budgets the Sherman–Morrison backend's low-rank Forget
-// correction (see linalg.RidgeState.ForgetRank); 0 keeps the exact
-// Forget-triggered rebase. The factored backend forgets on the factor
-// directly and has no rebase to replace, so there the call only records
-// the setting.
-func (b *C2UCB) SetForgetRank(k int) {
-	b.forgetRank = k
-	if rs, ok := b.state.(*linalg.RidgeState); ok {
-		rs.ForgetRank = k
-	}
-}
-
-// scoreShards returns how many shards a batch of n arms scores across.
-func (b *C2UCB) scoreShards(n int) int {
-	if b.scoreWorkers <= 1 || n < parallelScoreMinArms {
-		return 1
-	}
-	return b.scoreWorkers
-}
-
-// ensureScratch grows the per-shard scratch pool to at least w entries.
-func (b *C2UCB) ensureScratch(w int) {
-	for len(b.scratch) < w {
-		b.scratch = append(b.scratch, linalg.NewBatchScratch(b.state.Dimension()))
 	}
 }
 
@@ -159,16 +66,9 @@ func (b *C2UCB) Round() int { return b.round }
 //	r_hat(i) = theta' x(i) + alpha_t * sqrt(x(i)' V^{-1} x(i))
 //
 // The widths for the whole candidate batch are computed in one blocked
-// pass over the backend state and theta comes from the backend's memo,
-// so no per-arm call re-derives either; each entry is bit-identical to
-// the historical per-arm theta.DotSparse + ConfidenceWidthSparse form.
-//
-// With SetScoreWorkers > 1 the batch is partitioned deterministically
-// by arm index across a bounded worker pool, each shard scoring through
-// its own backend scratch. Theta is materialised once, serially, before
-// the fan-out (the memo write is the one lazy mutation scoring
-// performs), after which every shard reads only immutable state — so
-// the parallel scores are byte-identical to the serial ones.
+// pass over the factor and theta comes from the ridge memo, so no
+// per-arm call re-derives either; each entry is bit-identical to the
+// per-arm theta.DotSparse + ConfidenceWidthSparse form.
 func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 	out := make([]float64, len(contexts))
 	b.ScoresInto(contexts, out)
@@ -179,18 +79,8 @@ func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 // len(contexts)) — the tuner's round loop reuses one scores buffer across
 // rounds. Results are byte-identical to Scores.
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
-	theta := b.state.ThetaCached()
+	theta := b.state.Theta()
 	alpha := b.Alpha(b.round) * b.rewardScale
-	if w := b.scoreShards(len(contexts)); w > 1 {
-		b.ensureScratch(w)
-		runner.Sharded(len(contexts), w, func(shard, lo, hi int) {
-			b.state.ConfidenceWidthBatchScratch(contexts[lo:hi], out[lo:hi], b.scratch[shard])
-			for i := lo; i < hi; i++ {
-				out[i] = theta.DotSparse(contexts[i]) + alpha*out[i]
-			}
-		})
-		return
-	}
 	b.state.ConfidenceWidthBatch(contexts, out)
 	for i, x := range contexts {
 		out[i] = theta.DotSparse(x) + alpha*out[i]
@@ -198,17 +88,13 @@ func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 }
 
 // ExpectedScores returns the exploitation-only point estimates theta'x,
-// used by tests and diagnostics. Like Scores it shards across the
-// configured worker pool (dot products only — no backend scratch
-// needed), byte-identically to the serial pass.
+// used by tests and diagnostics.
 func (b *C2UCB) ExpectedScores(contexts []linalg.SparseVector) []float64 {
-	theta := b.state.ThetaCached()
+	theta := b.state.Theta()
 	out := make([]float64, len(contexts))
-	runner.Sharded(len(contexts), b.scoreShards(len(contexts)), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = theta.DotSparse(contexts[i])
-		}
-	})
+	for i, x := range contexts {
+		out[i] = theta.DotSparse(x)
+	}
 	return out
 }
 
@@ -237,12 +123,8 @@ func (b *C2UCB) Update(contexts []linalg.SparseVector, rewards []float64) {
 func (b *C2UCB) Forget(gamma float64) { b.state.Forget(gamma) }
 
 // Theta exposes the current coefficient estimate (diagnostics/tests).
-// The vector is owned by the ridge backend; callers must not mutate it.
+// The vector is owned by the ridge state; callers must not mutate it.
 func (b *C2UCB) Theta() linalg.Vector { return b.state.Theta() }
 
 // Dim returns the context dimensionality.
-func (b *C2UCB) Dim() int { return b.state.Dimension() }
-
-// Backend names the ridge backend the bandit runs on (the resolved
-// name passed to NewC2UCBBackend).
-func (b *C2UCB) Backend() string { return b.backend }
+func (b *C2UCB) Dim() int { return b.state.Dim }

@@ -18,7 +18,7 @@ import (
 // Deliberately not serialised:
 //   - the arm generator's proto/result memos (pure caches of
 //     deterministic content; rebuilt on demand),
-//   - the ridge theta memo (a pure function of the persisted factors),
+//   - the ridge theta memo (a pure function of the persisted factor),
 //   - pending mid-round feedback state (snapshots are refused until the
 //     round's ObserveExecution has landed).
 
@@ -65,9 +65,9 @@ func (qs *QueryStore) Restore(s *QueryStoreSnapshot) {
 }
 
 // C2UCBSnapshot is the serialisable state of the bandit: the ridge
-// backend's factors plus the round counter and the adaptive reward
-// scale. The alpha schedule is code, not state — the restored bandit
-// keeps the schedule it was constructed with.
+// factor plus the round counter and the adaptive reward scale. The
+// alpha schedule is code, not state — the restored bandit keeps the
+// schedule it was constructed with.
 type C2UCBSnapshot struct {
 	Ridge       *linalg.RidgeSnapshot
 	Round       int
@@ -84,31 +84,24 @@ func (b *C2UCB) Snapshot() *C2UCBSnapshot {
 }
 
 // Restore replaces the bandit's learned state with the snapshot's. The
-// snapshot's ridge backend is rebuilt as recorded (it may differ from
-// the backend the bandit was constructed on), but its dimensionality
-// must match — a dimension mismatch means the snapshot was taken under
-// different context options and cannot be meaningfully resumed.
+// snapshot's dimensionality must match — a dimension mismatch means the
+// snapshot was taken under different context options and cannot be
+// meaningfully resumed.
 func (b *C2UCB) Restore(s *C2UCBSnapshot) error {
 	if s == nil || s.Ridge == nil {
 		return fmt.Errorf("mab: nil bandit snapshot")
 	}
-	if s.Ridge.Dim != b.state.Dimension() {
+	if s.Ridge.Dim != b.state.Dim {
 		return fmt.Errorf("mab: bandit snapshot dimension %d, tuner built for %d (context options differ)",
-			s.Ridge.Dim, b.state.Dimension())
+			s.Ridge.Dim, b.state.Dim)
 	}
-	core, err := linalg.RestoreRidgeCore(s.Ridge)
+	state, err := linalg.RestoreCholState(s.Ridge)
 	if err != nil {
 		return err
 	}
-	b.state = core
-	b.backend = s.Ridge.Backend
+	b.state = state
 	b.round = s.Round
 	b.rewardScale = s.RewardScale
-	// Construction-time configuration that lives on the backend instance
-	// (not in the snapshot, which carries state only) is re-applied to
-	// the rebuilt core; the scoring scratch pool is sized by dimension
-	// alone and stays valid (dimensions were checked above).
-	b.SetForgetRank(b.forgetRank)
 	return nil
 }
 

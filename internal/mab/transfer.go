@@ -80,13 +80,13 @@ func NewTransferBasis(schema *catalog.Schema, snap *TunerSnapshot) (*TransferBas
 				dim, cb.Dim()-updateDims, cb.Dim())
 		}
 	}
-	core, err := linalg.RestoreRidgeCore(snap.Bandit.Ridge)
+	state, err := linalg.RestoreCholState(snap.Bandit.Ridge)
 	if err != nil {
 		return nil, fmt.Errorf("mab: transfer basis: %w", err)
 	}
-	// Clone: the restored core is discarded, only the posterior mean is
+	// Clone: the restored state is discarded, only the posterior mean is
 	// kept, owned by the basis.
-	return &TransferBasis{cb: cb, theta: core.Theta().Clone()}, nil
+	return &TransferBasis{cb: cb, theta: state.Theta().Clone()}, nil
 }
 
 // Gain is the donor-predicted per-round gain of the arm for a workload

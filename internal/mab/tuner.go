@@ -1,8 +1,6 @@
 package mab
 
 import (
-	"fmt"
-
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
@@ -45,34 +43,6 @@ type TunerOptions struct {
 	// MaxNewIndexesPerRound throttles materialisations per round (see
 	// SelectSuperArmThrottled). Default 6; negative disables throttling.
 	MaxNewIndexesPerRound int
-	// RidgeBackend selects the ridge-regression core: linalg.BackendSM
-	// (Sherman–Morrison explicit inverse, the default — every golden was
-	// captured under it) or linalg.BackendChol (factored Cholesky
-	// maintenance, no inverse and no rebase machinery). "" means the
-	// default. NewTuner panics on an unknown name; callers taking
-	// user input should validate with linalg.ValidRidgeBackend first.
-	RidgeBackend string
-	// RebaseEvery is the fixed fallback cadence of the ridge inverse's
-	// exact recomputation; 0 keeps the linalg default (256).
-	RebaseEvery int
-	// RebaseDriftThreshold is the adaptive rank-1 drift trigger of the
-	// ridge rebase schedule; 0 keeps the linalg default, negative
-	// disables the adaptive schedule (fixed cadence only).
-	RebaseDriftThreshold float64
-	// ScoreWorkers bounds the worker pool the bandit's batched arm
-	// scoring fans across; <= 1 (the default) scores serially. Scores are
-	// byte-identical at any setting — the candidate batch is partitioned
-	// deterministically by arm index with per-worker backend scratch — so
-	// this is purely a latency knob (the -score-parallel flag).
-	ScoreWorkers int
-	// ForgetRank, when positive, budgets the Sherman–Morrison backend's
-	// low-rank Forget correction: shift-scaled forgetting absorbs the
-	// discount-toward-prior perturbation with k structured O(d²) updates
-	// instead of a full O(d³) refactorisation, leaving any skipped
-	// residual to the drift-triggered rebase fallback (see
-	// linalg.RidgeState.ForgetRank; k >= context dim is exact). 0 keeps
-	// the exact rebase. No-op on the factored backend.
-	ForgetRank int
 	// UpdateAwareContext appends the HTAP update-sensitivity components
 	// (churn exposure + size-weighted churn) to every arm context, so the
 	// bandit can learn to drop high-churn indexes. Off by default:
@@ -183,13 +153,7 @@ func NewTuner(schema *catalog.Schema, dbSizeBytes int64, opts TunerOptions) *Tun
 	ctxb.UpdateDims = opts.UpdateAwareContext
 	store := NewQueryStore()
 	store.Window = opts.QoIWindow
-	bandit, err := NewC2UCBBackend(opts.RidgeBackend, ctxb.Dim(), opts.Lambda, opts.Alpha)
-	if err != nil {
-		panic(fmt.Sprintf("mab: %v", err))
-	}
-	bandit.SetRebaseSchedule(opts.RebaseEvery, opts.RebaseDriftThreshold)
-	bandit.SetScoreWorkers(opts.ScoreWorkers)
-	bandit.SetForgetRank(opts.ForgetRank)
+	bandit := NewC2UCB(ctxb.Dim(), opts.Lambda, opts.Alpha)
 	return &Tuner{
 		schema:     schema,
 		opts:       opts,

@@ -62,8 +62,8 @@ type PlanCacheStats struct {
 }
 
 // planCache is the optimiser-level cache state. The entries map is
-// guarded by mu; each entry carries its own lock, so parallel what-if
-// pricing serialises only on same-query collisions.
+// guarded by mu; each entry carries its own lock, so concurrent callers
+// serialise only on same-query collisions.
 type planCache struct {
 	mu      sync.Mutex
 	entries map[*query.Query]*queryEntry

@@ -23,16 +23,16 @@ type Optimizer struct {
 	cache *planCache
 }
 
-// New returns an optimiser over the schema with the given cost model.
-// The plan cache is enabled; use NewUncached for the A/B control.
+// New returns an optimiser over the schema with the given cost model,
+// its plan cache enabled.
 func New(schema *catalog.Schema, cm *engine.CostModel) *Optimizer {
 	return &Optimizer{Schema: schema, CM: cm, cache: newPlanCache()}
 }
 
 // NewUncached returns an optimiser that re-runs the full greedy search
-// on every call — the pre-cache behaviour, kept both as the A/B control
-// (-plan-cache=false) and as the reference the cache-consistency
-// property tests compare against.
+// on every call — the pre-cache behaviour, kept as the reference the
+// cache-consistency property test and the cold-path benchmarks compare
+// against.
 func NewUncached(schema *catalog.Schema, cm *engine.CostModel) *Optimizer {
 	return &Optimizer{Schema: schema, CM: cm}
 }

@@ -6,7 +6,6 @@ import (
 
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/query"
 )
@@ -26,10 +25,6 @@ type mabPolicy struct {
 
 func newMAB(e Env, p Params) (Policy, error) {
 	opts := p.MAB
-	if !linalg.ValidRidgeBackend(opts.RidgeBackend) {
-		return nil, fmt.Errorf("unknown ridge backend %q (available: %v)",
-			opts.RidgeBackend, linalg.RidgeBackends())
-	}
 	if opts.MemoryBudgetBytes == 0 {
 		opts.MemoryBudgetBytes = e.MemoryBudgetBytes()
 	}

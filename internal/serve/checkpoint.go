@@ -13,7 +13,10 @@ import (
 
 // CheckpointVersion is the on-disk checkpoint format version. Loading a
 // checkpoint with a different version is an error, not a guess.
-const CheckpointVersion = 1
+// Version 2 dropped the ridge-backend, scoring-worker and forget-rank
+// fields and stores the bandit's ridge state as one Cholesky factor
+// instead of a scatter matrix plus its inverse.
+const CheckpointVersion = 2
 
 // Checkpoint is the versioned on-disk image of a serving session at a
 // window boundary: everything needed to rebuild the environment
@@ -34,15 +37,9 @@ type Checkpoint struct {
 	Seed          int64
 	MemoryBudgetX float64
 
-	// Policy rebuild. ForgetRank shapes future forgetting arithmetic and
-	// ScoreWorkers the scoring latency, so both are restored with the
-	// backend; neither is policy state (the bandit's learned state lives
-	// in PolicyState).
-	Policy       string
-	RidgeBackend string `json:",omitempty"`
-	ScoreWorkers int    `json:",omitempty"`
-	ForgetRank   int    `json:",omitempty"`
-	Guardrail    GuardrailOptions
+	// Policy rebuild (the policy's learned state lives in PolicyState).
+	Policy    string
+	Guardrail GuardrailOptions
 
 	// Serving position.
 	Window     int
@@ -79,9 +76,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		Seed:          s.opts.Seed,
 		MemoryBudgetX: s.opts.MemoryBudgetX,
 		Policy:        s.opts.Policy,
-		RidgeBackend:  s.opts.RidgeBackend,
-		ScoreWorkers:  s.opts.ScoreWorkers,
-		ForgetRank:    s.opts.ForgetRank,
 		Guardrail:     s.opts.Guardrail,
 		Window:        s.window,
 		LastWindow:    s.lastWindow,
@@ -165,9 +159,6 @@ func Restore(ck *Checkpoint) (*Session, error) {
 		Seed:          ck.Seed,
 		MemoryBudgetX: ck.MemoryBudgetX,
 		Policy:        ck.Policy,
-		RidgeBackend:  ck.RidgeBackend,
-		ScoreWorkers:  ck.ScoreWorkers,
-		ForgetRank:    ck.ForgetRank,
 		Guardrail:     ck.Guardrail,
 	})
 	if err != nil {

@@ -13,8 +13,6 @@ import (
 
 	"dbabandits/internal/env"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
-	"dbabandits/internal/mab"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
@@ -37,20 +35,6 @@ type Options struct {
 	// Policy names the tuning strategy from the policy registry
 	// (default "mab").
 	Policy string
-	// RidgeBackend selects the bandit's ridge core (linalg.BackendSM
-	// default, linalg.BackendChol).
-	RidgeBackend string
-	// ScoreWorkers bounds the worker pool the bandit's arm scoring fans
-	// across; <= 1 scores serially. Byte-identical reports at any
-	// setting — serving latency is the only thing that changes.
-	ScoreWorkers int
-	// ForgetRank budgets the SM ridge backend's low-rank Forget
-	// correction (0 = exact rebase). Shift- and quarantine-triggered
-	// forgetting both go through it.
-	ForgetRank int
-	// DisablePlanCache turns off the optimiser's config-fingerprinted
-	// plan cache (A/B control; reports are byte-identical either way).
-	DisablePlanCache bool `json:",omitempty"`
 	// Guardrail configures the safety supervisor.
 	Guardrail GuardrailOptions
 }
@@ -114,32 +98,20 @@ type Session struct {
 // and guardrail. The caller owns the session and must Close it.
 func New(opts Options) (*Session, error) {
 	opts = opts.withDefaults()
-	if !linalg.ValidRidgeBackend(opts.RidgeBackend) {
-		return nil, fmt.Errorf("serve: unknown ridge backend %q (available: %v)",
-			opts.RidgeBackend, linalg.RidgeBackends())
-	}
-	mabOpts := mab.TunerOptions{
-		RidgeBackend: opts.RidgeBackend,
-		ScoreWorkers: opts.ScoreWorkers,
-		ForgetRank:   opts.ForgetRank,
-	}
 	e, err := env.New(env.Options{
-		Benchmark:        opts.Benchmark,
-		Regime:           env.Static,
-		ScaleFactor:      opts.ScaleFactor,
-		MaxStoredRows:    opts.MaxStoredRows,
-		Seed:             opts.Seed,
-		MemoryBudgetX:    opts.MemoryBudgetX,
-		MABOptions:       mabOpts,
-		DDQNSeed:         opts.Seed,
-		RandomSeed:       opts.Seed,
-		DisablePlanCache: opts.DisablePlanCache,
+		Benchmark:     opts.Benchmark,
+		Regime:        env.Static,
+		ScaleFactor:   opts.ScaleFactor,
+		MaxStoredRows: opts.MaxStoredRows,
+		Seed:          opts.Seed,
+		MemoryBudgetX: opts.MemoryBudgetX,
+		DDQNSeed:      opts.Seed,
+		RandomSeed:    opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	p, err := policy.New(opts.Policy, e, policy.Params{
-		MAB:        mabOpts,
 		DDQNSeed:   opts.Seed,
 		RandomSeed: opts.Seed,
 	})
