@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet smoke htapsmoke servesmoke fleetsmoke cover bench benchsweep benchsmoke benchdiff ci
+.PHONY: build test race fmt vet smoke htapsmoke servesmoke fleetsmoke e2esmoke cover bench benchsweep benchsmoke benchdiff ci
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,23 @@ servesmoke:
 	diff .serve_sum_full.out .serve_sum_tail.out
 	@rm -f .serve_stream.txt .serve.ckpt .serve_full.out .serve_head.out .serve_tail.out .serve_stitch.out .serve_sum_full.out .serve_sum_tail.out
 
+# End-to-end benchmark smoke mirroring CI: one short traced run of every
+# BENCHMARK.json workload, each in the foreground. The benchmark
+# byte-checks repeated episodes, its traced mirror of env.RunPolicy
+# against the untraced loop and (serving) checkpoint round-trips; the
+# target fails unless every result line reports "correct":true and
+# "failed":0. The build directory is removed afterwards.
+E2E_WORKLOADS = cell-adhoc-mab cell-adhoc-pdtool serve-adhoc-ckpt
+
+e2esmoke:
+	@status=0; for w in $(E2E_WORKLOADS); do \
+		out=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1) || status=1; \
+		case "$$out" in \
+		*'"correct":true'*'"failed":0,'*) echo "e2esmoke: $$w ok" ;; \
+		*) echo "e2esmoke: $$w failed: $$out" >&2; status=1 ;; \
+		esac; \
+	done; rm -rf .bench_build; exit $$status
+
 # Per-package coverage, as published in the CI workflow summary.
 cover:
 	$(GO) test -cover ./...
@@ -116,4 +133,4 @@ benchsmoke:
 
 # cover subsumes test (go test -cover runs the full suite), so ci pays
 # for one suite pass plus the race pass, matching the CI workflow.
-ci: fmt vet build cover race smoke htapsmoke servesmoke fleetsmoke benchsmoke benchdiff
+ci: fmt vet build cover race smoke htapsmoke servesmoke fleetsmoke e2esmoke benchsmoke benchdiff

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dbabandits/internal/index"
 	"dbabandits/internal/query"
@@ -26,9 +28,6 @@ type ExecStats struct {
 	// IndexAccessSec is Ctab(t, q, {i}): the actual time charged to each
 	// secondary index the plan used, keyed by index id.
 	IndexAccessSec map[string]IndexAccess
-
-	// PlanDesc is the executed plan rendered as text.
-	PlanDesc string
 }
 
 // IndexAccess pairs the table an index belongs to with the access time
@@ -36,6 +35,94 @@ type ExecStats struct {
 type IndexAccess struct {
 	Table string
 	Sec   float64
+}
+
+// scratch is the working memory of one Execute call. Execute takes it
+// from scratchPool and returns it, so steady-state execution allocates
+// nothing that grows with the rows it touches.
+type scratch struct {
+	// sel and seek are selection vectors: the rows passing a table's
+	// filters, and those passing an index seek's predicates.
+	sel, seek []int32
+	// cur and out hold the pipeline's tuples row-major with a width
+	// stride (tuple i is cur[i*width:(i+1)*width], one stored row id per
+	// joined table); they swap at every join step.
+	cur, out []int32
+	// probe is each tuple's chain head in post (0 when nothing matches).
+	probe []int32
+	// slots names the pipeline's tables in tuple-column order.
+	slots []string
+	post  postings
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// postings chains a join's build-side rows by join key: first(v) is
+// 1 + the index in ids of the first row with key v (0 when none), and
+// next[j-1] continues the chain from 1-based entry j. Every chain runs in
+// ascending row order, which is the match order the tuple sampling
+// downstream depends on. Heads are indexed directly by v-lo when the key
+// range is narrow, and kept in byKey otherwise.
+type postings struct {
+	ids, next, head []int32
+	lo, hi          int64
+	dense           bool
+	byKey           map[int64]int32
+}
+
+// build chains the rows ids of col; probes is the number of lookups to
+// come, which a direct head index must not dwarf in size.
+func (pb *postings) build(col []int64, ids []int32, probes int) {
+	pb.ids = ids
+	pb.lo, pb.hi = 0, -1
+	if len(ids) > 0 {
+		pb.lo, pb.hi = col[ids[0]], col[ids[0]]
+	}
+	for _, r := range ids {
+		pb.lo, pb.hi = min(pb.lo, col[r]), max(pb.hi, col[r])
+	}
+	pb.dense = uint64(pb.hi-pb.lo) < uint64(8*(len(ids)+probes)+4096)
+	if pb.dense {
+		pb.head = grow(pb.head, int(pb.hi-pb.lo)+1)
+		clear(pb.head)
+	} else if pb.byKey == nil {
+		pb.byKey = make(map[int64]int32)
+	} else {
+		clear(pb.byKey)
+	}
+	// Pushing rows onto their key's chain in reverse leaves every chain
+	// ascending.
+	pb.next = grow(pb.next, len(ids))
+	for i := len(ids) - 1; i >= 0; i-- {
+		v := col[ids[i]]
+		if pb.dense {
+			pb.next[i] = pb.head[v-pb.lo]
+			pb.head[v-pb.lo] = int32(i + 1)
+		} else {
+			pb.next[i] = pb.byKey[v]
+			pb.byKey[v] = int32(i + 1)
+		}
+	}
+}
+
+// first returns the 1-based chain head for key v, 0 when no row has it.
+func (pb *postings) first(v int64) int32 {
+	if !pb.dense {
+		return pb.byKey[v]
+	}
+	if v < pb.lo || v > pb.hi {
+		return 0
+	}
+	return pb.head[v-pb.lo]
+}
+
+// grow returns b resliced to length n, reallocating only when it is too
+// small; the contents are unspecified.
+func grow(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 // Execute runs the plan against the database, computing true operator
@@ -47,7 +134,6 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 	st := &ExecStats{
 		TableScanSec:   make(map[string]float64, len(q.Tables)),
 		IndexAccessSec: make(map[string]IndexAccess),
-		PlanDesc:       p.String(),
 	}
 
 	// Baseline full-scan times for every referenced table (analytic).
@@ -59,12 +145,20 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		st.TableScanSec[tname] = cm.TableScanSec(tbl.Meta, len(q.FiltersOn(tname)))
 	}
 
-	// Driver access.
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+
+	// Driver access: its selected row ids are the width-1 tuple buffer.
 	driver, ok := db.Table(p.Driver.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown driver table %q", p.Driver.Table)
 	}
-	rowids, accessSec, err := executeAccess(db, p.Driver, q, cm)
+	var okSel bool
+	s.cur, okSel = driver.SelectRows(s.cur, q.FiltersOn(p.Driver.Table))
+	if !okSel {
+		return nil, fmt.Errorf("engine: predicate on missing column of %s", p.Driver.Table)
+	}
+	accessSec, err := s.accessSec(driver, p.Driver, q, cm)
 	if err != nil {
 		return nil, err
 	}
@@ -73,26 +167,21 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		st.IndexAccessSec[ix.ID()] = IndexAccess{Table: ix.Table, Sec: accessSec}
 	}
 
-	tuples := make([][]int32, len(rowids))
-	for i, r := range rowids {
-		tuples[i] = []int32{r}
-	}
-	tableSlot := map[string]int{p.Driver.Table: 0}
+	s.slots = append(s.slots[:0], p.Driver.Table)
+	n := len(s.cur) // tuple count
 	logicalFactor := driver.Mult
 	sampleFactor := 1.0
-	curWidth := 1 // tuple width; tracked separately so empty pipelines keep slot accounting
 
 	for _, step := range p.Steps {
 		inner, ok := db.Table(step.InnerTable)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown join table %q", step.InnerTable)
 		}
-		outerSlot, ok := tableSlot[step.OuterTable]
-		if !ok {
+		outerSlot := slices.Index(s.slots, step.OuterTable)
+		if outerSlot < 0 {
 			return nil, fmt.Errorf("engine: join step on %s references table %s not yet in pipeline", step.InnerTable, step.OuterTable)
 		}
-		outerTbl := db.MustTable(step.OuterTable)
-		outerCol, ok := outerTbl.Column(step.OuterColumn)
+		outerCol, ok := db.MustTable(step.OuterTable).Column(step.OuterColumn)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown join column %s.%s", step.OuterTable, step.OuterColumn)
 		}
@@ -102,44 +191,66 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		}
 
 		innerPreds := q.FiltersOn(step.InnerTable)
-		innerIDs, okSel := inner.SelectRows(innerPreds)
+		s.sel, okSel = inner.SelectRows(s.sel, innerPreds)
 		if !okSel {
 			return nil, fmt.Errorf("engine: predicate on missing column of %s", step.InnerTable)
 		}
 
-		// Hash lookup from inner join-column value to inner row ids;
-		// exact in stored space for both algorithms (the difference is
-		// only in what the step costs).
-		lookup := make(map[int64][]int32, len(innerIDs))
-		for _, r := range innerIDs {
-			v := innerCol[r]
-			lookup[v] = append(lookup[v], r)
+		// Exact join in stored space for both algorithms (the difference
+		// is only in what the step costs). A counting pass sizes the
+		// result; when it exceeds maxTuples only every k-th match is
+		// materialised, the same tuples a full join sampled with stride k
+		// would keep, and sampleFactor carries k so cardinalities stay
+		// unbiased.
+		width := len(s.slots)
+		matches := 0
+		if n > 0 {
+			s.post.build(innerCol, s.sel, n)
+			s.probe = grow(s.probe, n)
+			for i := 0; i < n; i++ {
+				j := s.post.first(outerCol[s.cur[i*width+outerSlot]])
+				s.probe[i] = j
+				for ; j != 0; j = s.post.next[j-1] {
+					matches++
+				}
+			}
 		}
-
-		width := curWidth
-		var out [][]int32
-		for _, tup := range tuples {
-			v := outerCol[tup[outerSlot]]
-			for _, r := range lookup[v] {
-				nt := make([]int32, width+1)
-				copy(nt, tup)
-				nt[width] = r
-				out = append(out, nt)
+		k := 1
+		if matches > maxTuples {
+			k = (matches + maxTuples - 1) / maxTuples
+		}
+		kept := (matches + k - 1) / k
+		s.out = grow(s.out, kept*(width+1))
+		pos, seen, keep := 0, 0, 0 // keep is the index of the next match to keep
+		for i := 0; i < n && keep < matches; i++ {
+			tup := s.cur[i*width : i*width+width]
+			for j := s.probe[i]; j != 0; j = s.post.next[j-1] {
+				if seen == keep {
+					copy(s.out[pos:], tup)
+					s.out[pos+width] = s.post.ids[j-1]
+					pos += width + 1
+					keep += k
+				}
+				seen++
 			}
 		}
 
-		probesLogical := float64(len(tuples)) * sampleFactor * logicalFactor
+		probesLogical := float64(n) * sampleFactor * logicalFactor
 		if inner.Mult > logicalFactor {
 			logicalFactor = inner.Mult
 		}
-		outLogical := float64(len(out)) * sampleFactor * logicalFactor
-		innerMatchedLogical := float64(len(innerIDs)) * inner.Mult
+		outLogical := float64(matches) * sampleFactor * logicalFactor
+		innerMatchedLogical := float64(len(s.sel)) * inner.Mult
 
 		var stepSec float64
 		switch step.Algo {
 		case JoinHash:
 			// Inner side is scanned/accessed once, then hashed.
-			_, innerAccessSec, err := executeAccess(db, step.Inner, q, cm)
+			innerTbl, ok := db.Table(step.Inner.Table)
+			if !ok {
+				return nil, fmt.Errorf("engine: unknown table %q", step.Inner.Table)
+			}
+			innerAccessSec, err := s.accessSec(innerTbl, step.Inner, q, cm)
 			if err != nil {
 				return nil, err
 			}
@@ -156,8 +267,8 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 			innerPages := cm.PagesOf(inner.Meta.SizeBytes())
 			stepSec = cm.NLJoinSec(probesLogical, outLogical, fetchRows, entryWidth, innerPages)
 			// Residual inner predicates are evaluated per matched row.
-			if n := len(innerPreds); n > 0 {
-				stepSec += outLogical * float64(n) * cm.CPUPredSec
+			if np := len(innerPreds); np > 0 {
+				stepSec += outLogical * float64(np) * cm.CPUPredSec
 			}
 			if ix := step.Inner.Index; ix != nil {
 				st.IndexAccessSec[ix.ID()] = IndexAccess{Table: ix.Table, Sec: stepSec}
@@ -167,53 +278,32 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		}
 		st.TotalSec += stepSec
 
-		tableSlot[step.InnerTable] = width
-		curWidth = width + 1
-		tuples = out
-		if len(tuples) > maxTuples {
-			k := (len(tuples) + maxTuples - 1) / maxTuples
-			sampled := tuples[:0]
-			for i := 0; i < len(tuples); i += k {
-				sampled = append(sampled, tuples[i])
-			}
-			tuples = sampled
+		s.slots = append(s.slots, step.InnerTable)
+		s.cur, s.out = s.out, s.cur
+		n = kept
+		if k > 1 {
 			sampleFactor *= float64(k)
-		}
-		if len(tuples) == 0 {
-			// Join produced nothing; remaining steps cost their inner
-			// access only (hash builds still happen in a real system).
-			// Keep iterating so every inner access is charged.
-			continue
 		}
 	}
 
-	st.OutRows = float64(len(tuples)) * sampleFactor * logicalFactor
+	st.OutRows = float64(n) * sampleFactor * logicalFactor
 	st.TotalSec += cm.OutputSec(st.OutRows, q.AggWidth)
 	return st, nil
 }
 
-// executeAccess evaluates a driver-style access path: the matching stored
-// row ids after all the table's filter predicates, and the true access
-// time. Used for plan drivers and hash-join inner sides.
-func executeAccess(db *storage.Database, acc Access, q *query.Query, cm *CostModel) ([]int32, float64, error) {
-	tbl, ok := db.Table(acc.Table)
-	if !ok {
-		return nil, 0, fmt.Errorf("engine: unknown table %q", acc.Table)
-	}
+// accessSec is the true time of a driver-style access path (a plan driver
+// or a hash-join inner side), with an index seek's matching rows counted
+// from stored data.
+func (s *scratch) accessSec(tbl *storage.Table, acc Access, q *query.Query, cm *CostModel) (float64, error) {
 	preds := q.FiltersOn(acc.Table)
-	rowids, okSel := tbl.SelectRows(preds)
-	if !okSel {
-		return nil, 0, fmt.Errorf("engine: predicate on missing column of %s", acc.Table)
-	}
-
 	switch acc.Kind {
 	case AccessSeqScan:
-		return rowids, cm.TableScanSec(tbl.Meta, len(preds)), nil
+		return cm.TableScanSec(tbl.Meta, len(preds)), nil
 
 	case AccessIndexSeek, AccessIndexOnly:
 		ix := acc.Index
 		if ix == nil {
-			return nil, 0, fmt.Errorf("engine: %s access on %s without index", acc.Kind, acc.Table)
+			return 0, fmt.Errorf("engine: %s access on %s without index", acc.Kind, acc.Table)
 		}
 		entryWidth := float64(ix.EntryWidthBytes(tbl.Meta))
 		tablePages := cm.PagesOf(tbl.Meta.SizeBytes())
@@ -222,14 +312,14 @@ func executeAccess(db *storage.Database, acc Access, q *query.Query, cm *CostMod
 			// No usable prefix: full leaf-level scan of the index (only
 			// sensible when covering).
 			rows := float64(tbl.Meta.RowCount)
-			sec := cm.IndexScanSec(rows, entryWidth, len(preds))
-			return rowids, sec, nil
+			return cm.IndexScanSec(rows, entryWidth, len(preds)), nil
 		}
-		seekStored, okCnt := tbl.CountRows(seek)
-		if !okCnt {
-			return nil, 0, fmt.Errorf("engine: seek predicate on missing column of %s", acc.Table)
+		var okSel bool
+		s.seek, okSel = tbl.SelectRows(s.seek, seek)
+		if !okSel {
+			return 0, fmt.Errorf("engine: seek predicate on missing column of %s", acc.Table)
 		}
-		matchLogical := float64(seekStored) * tbl.Mult
+		matchLogical := float64(len(s.seek)) * tbl.Mult
 		fetchRows := matchLogical
 		if acc.Covering {
 			fetchRows = 0
@@ -238,10 +328,10 @@ func executeAccess(db *storage.Database, acc Access, q *query.Query, cm *CostMod
 		if n := len(residual); n > 0 {
 			sec += matchLogical * float64(n) * cm.CPUPredSec
 		}
-		return rowids, sec, nil
+		return sec, nil
 
 	default:
-		return nil, 0, fmt.Errorf("engine: unsupported driver access kind %s", acc.Kind)
+		return 0, fmt.Errorf("engine: unsupported driver access kind %s", acc.Kind)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dbabandits/internal/datagen"
@@ -46,4 +47,64 @@ func BenchmarkExecuteTPCDS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestExecuteAllocsFlat pins Execute's allocations to a ceiling that does
+// not grow with the data: the same multi-join plan, run over databases
+// with 5× apart stored-row caps, allocates the same small number of
+// objects per call. Tuple and selection buffers come from pooled scratch,
+// so only the ExecStats and its maps, and per-table predicate lists,
+// remain. (Under the race detector sync.Pool drops some returned scratch
+// on purpose, which adds a few allocations per call on average.)
+func TestExecuteAllocsFlat(t *testing.T) {
+	const ceiling = 32
+	small, p, cm := adhocPlan(t, 1000)
+	large, _, _ := adhocPlan(t, 5000)
+	for _, c := range []struct {
+		rows int
+		db   *storage.Database
+	}{{1000, small}, {5000, large}} {
+		if _, err := engine.Execute(c.db, p, cm); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := engine.Execute(c.db, p, cm); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d stored rows: %.0f allocs/op", c.rows, allocs)
+		if allocs > ceiling {
+			t.Errorf("%d stored rows: %.0f allocs/op, want <= %d", c.rows, allocs, ceiling)
+		}
+	}
+}
+
+// TestExecuteConcurrent runs one plan from several goroutines at once
+// over a shared database: the pooled scratch must never be shared between
+// calls, so every call returns the serial result.
+func TestExecuteConcurrent(t *testing.T) {
+	db, p, cm := adhocPlan(t, 1000)
+	want, err := engine.Execute(db, p, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := engine.Execute(db, p, cm)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.OutRows != want.OutRows || got.TotalSec != want.TotalSec {
+					t.Errorf("concurrent Execute = (%v rows, %v s), serial (%v rows, %v s)", got.OutRows, got.TotalSec, want.OutRows, want.TotalSec)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -61,6 +62,24 @@ func (p Predicate) Matches(v int64) bool {
 		return v > p.Lo
 	default:
 		return false
+	}
+}
+
+// Bounds returns the closed interval [lo, hi] of values the predicate
+// matches; ok is false when it matches none. Column-at-a-time selection
+// uses it to test every row of a column with one pair of comparisons.
+func (p Predicate) Bounds() (lo, hi int64, ok bool) {
+	switch p.Op {
+	case OpEq:
+		return p.Lo, p.Lo, true
+	case OpRange:
+		return p.Lo, p.Hi, p.Lo <= p.Hi
+	case OpLt:
+		return math.MinInt64, p.Hi - 1, p.Hi > math.MinInt64
+	case OpGt:
+		return p.Lo + 1, math.MaxInt64, p.Lo < math.MaxInt64
+	default:
+		return 0, 0, false
 	}
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,31 @@ func TestQuickRangeMatch(t *testing.T) {
 		return p.Matches(v) == (v >= lo && v <= hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Bounds describes exactly the values Matches accepts, for every
+// operator including the empty and extreme-edge cases.
+func TestQuickBoundsAgreeWithMatches(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	f := func(op uint8, lo, hi, v int64, pick uint8) bool {
+		if pick%3 == 0 {
+			lo = edges[int(pick/3)%len(edges)]
+		}
+		if pick%5 == 0 {
+			hi = edges[int(pick/5)%len(edges)]
+		}
+		p := Predicate{Op: Op(op % 5), Lo: lo, Hi: hi}
+		for _, x := range append(edges, v, lo, hi, lo-1, lo+1, hi-1, hi+1) {
+			blo, bhi, ok := p.Bounds()
+			if p.Matches(x) != (ok && x >= blo && x <= bhi) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

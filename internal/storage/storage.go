@@ -17,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/query"
@@ -52,38 +53,68 @@ func (t *Table) MustColumn(name string) []int64 {
 // LogicalRows returns the scaled logical row count.
 func (t *Table) LogicalRows() float64 { return float64(t.StoredRows) * t.Mult }
 
-// SelectRows evaluates a conjunction of predicates over the stored rows
-// and returns the matching row ids. Predicates on other tables are
-// ignored. A nil return with ok=false indicates a predicate referencing a
-// missing column.
-func (t *Table) SelectRows(preds []query.Predicate) ([]int32, bool) {
-	var cols [][]int64
-	var ps []query.Predicate
+// SelectRows returns the ids, in ascending order, of the stored rows
+// matching a conjunction of predicates, reusing buf's storage when it is
+// large enough. Predicates on other tables are ignored. A nil return with
+// ok=false indicates a predicate referencing a missing column.
+//
+// Evaluation is column-at-a-time: the first predicate scans its column
+// into a selection and every further one filters that selection in place.
+// Each tests a value v against the predicate's Bounds [lo, hi] with one
+// unsigned comparison, uint64(v-lo) <= uint64(hi-lo), which wraps exactly
+// for every int64 once lo <= hi.
+func (t *Table) SelectRows(buf []int32, preds []query.Predicate) ([]int32, bool) {
+	sel := buf[:0]
+	scanned := false
 	for _, p := range preds {
 		if p.Table != t.Meta.Name {
 			continue
 		}
-		c, ok := t.Column(p.Column)
+		col, ok := t.Column(p.Column)
 		if !ok {
 			return nil, false
 		}
-		cols = append(cols, c)
-		ps = append(ps, p)
-	}
-	out := make([]int32, 0, t.StoredRows/4+1)
-	for r := 0; r < t.StoredRows; r++ {
-		match := true
-		for i, p := range ps {
-			if !p.Matches(cols[i][r]) {
-				match = false
-				break
+		lo, hi, nonEmpty := p.Bounds()
+		span := uint64(hi - lo)
+		switch {
+		case !nonEmpty:
+			sel = sel[:0]
+		case !scanned:
+			sel = scanColumn(sel, col[:t.StoredRows], lo, span)
+		default:
+			n := 0
+			for _, r := range sel {
+				sel[n] = r
+				if uint64(col[r]-lo) <= span {
+					n++
+				}
 			}
+			sel = sel[:n]
 		}
-		if match {
-			out = append(out, int32(r))
+		scanned = true
+	}
+	if !scanned {
+		for r := 0; r < t.StoredRows; r++ {
+			sel = append(sel, int32(r))
 		}
 	}
-	return out, true
+	return sel, true
+}
+
+// scanColumn returns, in buf's storage when it is large enough, the ids
+// of the rows of col with uint64(v-lo) <= span. It writes every id and
+// advances only past the matching ones, so the loop carries no
+// data-dependent branch.
+func scanColumn(buf []int32, col []int64, lo int64, span uint64) []int32 {
+	sel := slices.Grow(buf[:0], len(col))[:len(col)]
+	n := 0
+	for r, v := range col {
+		sel[n] = int32(r)
+		if uint64(v-lo) <= span {
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // CountRows returns only the number of stored rows matching the

@@ -64,7 +64,7 @@ func TestSelectRowsConjunction(t *testing.T) {
 		{Table: "t", Column: "a", Op: query.OpGt, Lo: 3},
 		{Table: "t", Column: "b", Op: query.OpEq, Lo: 1, Hi: 1},
 	}
-	rows, ok := tbl.SelectRows(preds)
+	rows, ok := tbl.SelectRows(nil, preds)
 	if !ok {
 		t.Fatal("select failed")
 	}
@@ -85,7 +85,7 @@ func TestSelectRowsIgnoresOtherTables(t *testing.T) {
 	preds := []query.Predicate{
 		{Table: "other", Column: "a", Op: query.OpEq, Lo: 1, Hi: 1},
 	}
-	rows, ok := tbl.SelectRows(preds)
+	rows, ok := tbl.SelectRows(nil, preds)
 	if !ok || len(rows) != tbl.StoredRows {
 		t.Fatalf("cross-table predicate altered selection: %d rows", len(rows))
 	}
@@ -94,7 +94,7 @@ func TestSelectRowsIgnoresOtherTables(t *testing.T) {
 func TestSelectRowsMissingColumn(t *testing.T) {
 	tbl := fixtureTable()
 	preds := []query.Predicate{{Table: "t", Column: "ghost", Op: query.OpEq}}
-	if _, ok := tbl.SelectRows(preds); ok {
+	if _, ok := tbl.SelectRows(nil, preds); ok {
 		t.Fatal("missing column accepted")
 	}
 	if _, ok := tbl.CountRows(preds); ok {
@@ -158,7 +158,7 @@ func TestQuickSelectCountAgreement(t *testing.T) {
 		if useB {
 			preds = append(preds, query.Predicate{Table: "t", Column: "b", Op: query.OpEq, Lo: 1, Hi: 1})
 		}
-		rows, ok1 := tbl.SelectRows(preds)
+		rows, ok1 := tbl.SelectRows(nil, preds)
 		n, ok2 := tbl.CountRows(preds)
 		if !ok1 || !ok2 || len(rows) != n {
 			return false
