@@ -48,7 +48,8 @@ type scratch struct {
 	// stride (tuple i is cur[i*width:(i+1)*width], one stored row id per
 	// joined table); they swap at every join step.
 	cur, out []int32
-	// probe is each tuple's chain head in post (0 when nothing matches).
+	// probe lists (tuple index, chain head in post) for every tuple
+	// with at least one match.
 	probe []int32
 	// slots names the pipeline's tables in tuple-column order.
 	slots []string
@@ -204,12 +205,15 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		// unbiased.
 		width := len(s.slots)
 		matches := 0
+		s.probe = s.probe[:0]
 		if n > 0 {
 			s.post.build(innerCol, s.sel, n)
-			s.probe = grow(s.probe, n)
 			for i := 0; i < n; i++ {
 				j := s.post.first(outerCol[s.cur[i*width+outerSlot]])
-				s.probe[i] = j
+				if j == 0 {
+					continue
+				}
+				s.probe = append(s.probe, int32(i), j)
 				for ; j != 0; j = s.post.next[j-1] {
 					matches++
 				}
@@ -222,11 +226,11 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		kept := (matches + k - 1) / k
 		s.out = grow(s.out, kept*(width+1))
 		pos, seen, keep := 0, 0, 0 // keep is the index of the next match to keep
-		for i := 0; i < n && keep < matches; i++ {
-			tup := s.cur[i*width : i*width+width]
-			for j := s.probe[i]; j != 0; j = s.post.next[j-1] {
+		for h := 0; h < len(s.probe) && keep < matches; h += 2 {
+			i := int(s.probe[h])
+			for j := s.probe[h+1]; j != 0; j = s.post.next[j-1] {
 				if seen == keep {
-					copy(s.out[pos:], tup)
+					copy(s.out[pos:], s.cur[i*width:i*width+width])
 					s.out[pos+width] = s.post.ids[j-1]
 					pos += width + 1
 					keep += k
