@@ -580,6 +580,3 @@ func (cs *CholState) Scatter() *Matrix {
 	}
 	return v
 }
-
-// Factor exposes the maintained Cholesky factor (tests/diagnostics).
-func (cs *CholState) Factor() *Matrix { return cs.L }

@@ -40,39 +40,25 @@ import (
 // are never cached. Accounting is preserved — WhatIfCalls counts
 // logical optimiser invocations whether or not they hit the cache.
 
-const (
-	// maxCachedQueries bounds the entry map. Batch sequencers instantiate
-	// fresh query objects every round, so entries for dead instances
-	// accumulate; past the cap the whole map is dropped (counted as one
-	// invalidation) rather than leaking for the length of a serving run.
-	maxCachedQueries = 4096
-	// maxPlansPerQuery bounds one query's fingerprint→plan map.
-	maxPlansPerQuery = 1024
-	// maxSetsPerTable bounds one table's signature→relevant-set memo.
-	maxSetsPerTable = 512
-)
-
 // PlanCacheStats are the cache's cumulative counters. Hits and Misses
 // count ChoosePlan calls answered from / added to the plan cache;
 // Invalidations counts relevant-set rescans forced by configuration
-// content changes plus capacity evictions. They feed benchmarks and
-// logs only — no golden-pinned output includes them.
+// content changes. They feed benchmarks and logs only — no
+// golden-pinned output includes them.
 type PlanCacheStats struct {
 	Hits, Misses, Invalidations uint64
 }
 
-// planCache is the optimiser-level cache state. The entries map is
-// guarded by mu; each entry carries its own lock, so concurrent callers
+// planCache is the optimiser-level cache state. It holds no entries:
+// each query instance carries its own entry in its plan memo
+// (query.Query.PlanMemo), so an entry lives exactly as long as its
+// instance and needs no capacity bound. mu guards reading and attaching
+// memos; each entry carries its own lock, so concurrent callers
 // serialise only on same-query collisions.
 type planCache struct {
-	mu      sync.Mutex
-	entries map[*query.Query]*queryEntry
+	mu sync.Mutex
 
 	hits, misses, invalidations atomic.Uint64
-}
-
-func newPlanCache() *planCache {
-	return &planCache{entries: make(map[*query.Query]*queryEntry)}
 }
 
 // CacheStats returns a snapshot of the plan-cache counters; zero-valued
@@ -87,9 +73,6 @@ func (o *Optimizer) CacheStats() PlanCacheStats {
 		Invalidations: o.cache.invalidations.Load(),
 	}
 }
-
-// CacheEnabled reports whether this optimiser carries a plan cache.
-func (o *Optimizer) CacheEnabled() bool { return o.cache != nil }
 
 // relIndex is one index that passed the relevance screen, with the
 // screen's per-index facts kept for the access-path pricing.
@@ -138,9 +121,12 @@ type qtable struct {
 	byIDs    map[string]*relevantSet // interning: distinct sigs, same screen result
 }
 
-// queryEntry is one query instance's cache entry.
+// queryEntry is one query instance's cache entry. Its per-instance
+// maps grow only with the distinct configurations priced for the
+// instance, and die with it.
 type queryEntry struct {
 	mu     sync.Mutex
+	cache  *planCache // owner: a memo attached by another optimiser is not ours
 	q      *query.Query
 	tables []*qtable // distinct tables, in first-appearance order
 	order  []int     // q.Tables[i] → index into tables
@@ -163,19 +149,17 @@ type queryEntry struct {
 // choosePlan is the cached ChoosePlan.
 func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) (*engine.Plan, error) {
 	c.mu.Lock()
-	e := c.entries[q]
-	if e == nil {
+	e, _ := q.PlanMemo().(*queryEntry)
+	if e == nil || e.cache != c || e.q != q {
+		// No memo, another optimiser's, or one a value copy carried over
+		// from its source: build this instance's own entry.
 		var err error
 		e, err = newQueryEntry(o, q)
 		if err != nil {
 			c.mu.Unlock()
 			return nil, err
 		}
-		if len(c.entries) >= maxCachedQueries {
-			c.entries = make(map[*query.Query]*queryEntry, maxCachedQueries)
-			c.invalidations.Add(1)
-		}
-		c.entries[q] = e
+		q.SetPlanMemo(e)
 	}
 	c.mu.Unlock()
 
@@ -206,10 +190,6 @@ func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) 
 		return nil, err
 	}
 	c.misses.Add(1)
-	if len(e.plans) >= maxPlansPerQuery {
-		e.plans = make(map[string]*engine.Plan, maxPlansPerQuery)
-		c.invalidations.Add(1)
-	}
 	e.plans[string(fp)] = plan
 	e.noteLast(cfg, plan)
 	return plan, nil
@@ -228,7 +208,7 @@ func newQueryEntry(o *Optimizer, q *query.Query) (*queryEntry, error) {
 	if len(q.Tables) == 0 {
 		return nil, fmt.Errorf("optimizer: query has no tables")
 	}
-	e := &queryEntry{q: q, plans: make(map[string]*engine.Plan)}
+	e := &queryEntry{cache: o.cache, q: q, plans: make(map[string]*engine.Plan)}
 	seen := make(map[string]int, len(q.Tables))
 	for _, name := range q.Tables {
 		if i, ok := seen[name]; ok {
@@ -302,12 +282,6 @@ func (c *planCache) refreshRelevant(o *Optimizer, t *qtable, cfg *index.Config) 
 		rs = prev
 	} else {
 		t.byIDs[rs.ids] = rs
-	}
-	if len(t.bySig) >= maxSetsPerTable {
-		clear(t.bySig)
-		clear(t.byIDs)
-		t.byIDs[rs.ids] = rs
-		c.invalidations.Add(1)
 	}
 	t.bySig[sig] = rs
 	t.sig, t.relevant = sig, rs

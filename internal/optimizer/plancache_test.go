@@ -4,12 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"dbabandits/internal/datagen"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
 	"dbabandits/internal/query"
+	"dbabandits/internal/storage"
 	"dbabandits/internal/testdb"
+	"dbabandits/internal/workload"
 )
 
 // cacheTestQueries is a workload spanning the planner's decision space:
@@ -89,11 +93,41 @@ func cacheTestPool() []*index.Index {
 	}
 }
 
+// freshCacheTestQueries draws new instances of the cache test workload
+// with jittered predicate constants, plus one value copy of an earlier
+// instance (which carries that instance's plan memo) given new
+// predicates of its own.
+func freshCacheTestQueries(rng *rand.Rand, prev []*query.Query) []*query.Query {
+	qs := cacheTestQueries()
+	for _, q := range qs {
+		for i := range q.Filters {
+			f := &q.Filters[i]
+			switch f.Op {
+			case query.OpEq:
+				f.Lo = rng.Int63n(30)
+				f.Hi = f.Lo
+			case query.OpRange:
+				f.Lo = rng.Int63n(500)
+				f.Hi = f.Lo + rng.Int63n(500)
+			}
+		}
+	}
+	cp := *prev[rng.Intn(len(prev))]
+	cp.Filters = append([]query.Predicate(nil), cp.Filters...)
+	for i := range cp.Filters {
+		cp.Filters[i].Lo /= 2
+	}
+	return append(qs, &cp)
+}
+
 // TestPlanCacheConsistencyRandomMutations is the cache-consistency
 // property test: a randomized add/drop/no-op mutation walk over a shared
 // Config, pinning the cached optimiser byte-identical to the uncached
 // reference on every query after every step — including repeat calls
-// (hit path) and nil-config calls.
+// (hit path) and nil-config calls. Every 40 steps the walk draws fresh
+// query instances (and a value copy of an old one), so memos are built
+// mid-walk under an already-mutated configuration and old instances
+// are dropped while the optimiser lives on.
 func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	cm := engine.DefaultCostModel()
@@ -137,6 +171,9 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 		case op < 8: // drop (no-op when absent)
 			cfg.Drop(pool[rng.Intn(len(pool))].ID())
 		default: // pure no-op step: re-check under unchanged content
+		}
+		if step%40 == 39 {
+			queries = freshCacheTestQueries(rng, queries)
 		}
 		check(step, cfg)
 	}
@@ -254,5 +291,160 @@ func TestPlanCacheSharedAcrossConfigsByFingerprint(t *testing.T) {
 	}
 	if st := o.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// tpchFixture is a small TPC-H database and its template set, for tests
+// that need many realistic query instances.
+func tpchFixture(t *testing.T) (*workload.Benchmark, *storage.Database) {
+	t.Helper()
+	bench, err := workload.ByName("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := datagen.Build(bench.NewSchema(), datagen.Options{ScaleFactor: 1, MaxStoredRows: 500, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bench, db
+}
+
+// TestPlanMemoDiesWithInstance pins the cache's lifetime contract: an
+// entry lives on its query instance, so planning thousands of fresh
+// instances through one optimiser and dropping each leaves the live
+// heap where a handful of instances leaves it. No finalizer is used:
+// query → entry → query is a cycle, and Go does not promise to run
+// finalizers in cycles.
+func TestPlanMemoDiesWithInstance(t *testing.T) {
+	bench, db := tpchFixture(t)
+	o := New(db.Schema, engine.DefaultCostModel())
+	var cfgs []*index.Config
+	for _, keys := range [][]string{nil, {"l_shipdate"}, {"l_partkey"}, {"l_orderkey", "l_shipdate"}} {
+		cfg := index.NewConfig()
+		if keys != nil {
+			cfg.Add(index.New("lineitem", keys, nil))
+		}
+		cfg.Add(index.New("orders", []string{"o_orderdate"}, nil))
+		cfgs = append(cfgs, cfg)
+	}
+	rng := rand.New(rand.NewSource(11))
+	planFresh := func(n int) {
+		for i := 0; i < n; i++ {
+			q := bench.Templates[i%len(bench.Templates)].Instantiate(rng, db, "tpch")
+			for _, cfg := range cfgs {
+				if _, err := o.ChoosePlan(q, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	planFresh(50)
+	small := liveHeap()
+	planFresh(3000)
+	large := liveHeap()
+	if st := o.CacheStats(); st.Misses < 3000 {
+		t.Fatalf("instances were not planned through the cache: %+v", st)
+	}
+	t.Logf("live heap after 50 instances %d B, after 3050 %d B", small, large)
+	const slack = 4 << 20
+	if large > small+slack {
+		t.Fatalf("live heap grew from %d to %d bytes over 3000 dropped instances: plan memos outlive their queries",
+			small, large)
+	}
+}
+
+// TestPlanMemoOwnedByItsOptimizer pins the memo's validity check: one
+// instance planned alternately by two optimisers with different cost
+// models gets each optimiser's own uncached plan, bit for bit, on every
+// call.
+func TestPlanMemoOwnedByItsOptimizer(t *testing.T) {
+	schema, _ := testdb.Build(1)
+	cmA := engine.DefaultCostModel()
+	cmB := *cmA
+	cmB.CPUPredSec *= 40
+	cmB.SeqPageSec *= 0.05
+	a, b := New(schema, cmA), New(schema, &cmB)
+	refA, refB := NewUncached(schema, cmA), NewUncached(schema, &cmB)
+
+	cfg := index.NewConfig()
+	for _, ix := range cacheTestPool() {
+		cfg.Add(ix)
+	}
+	differ := false
+	for _, q := range cacheTestQueries() {
+		wantA, err := refA.ChoosePlan(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := refB.ChoosePlan(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		differ = differ || math.Float64bits(wantA.EstCost) != math.Float64bits(wantB.EstCost)
+		for round := 0; round < 3; round++ {
+			for _, c := range []struct {
+				label string
+				o     *Optimizer
+				want  *engine.Plan
+			}{{"a", a, wantA}, {"b", b, wantB}} {
+				got, err := c.o.ChoosePlan(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, c.want) || math.Float64bits(got.EstCost) != math.Float64bits(c.want.EstCost) {
+					t.Fatalf("q%d round %d optimiser %s: got %+v, want %+v", q.TemplateID, round, c.label, got, c.want)
+				}
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two cost models price every query alike; the test cannot tell the optimisers apart")
+	}
+}
+
+// TestPlanMemoNotSharedWithValueCopy pins that a value copy of a planned
+// query, which carries the source's memo pointer, is planned as itself.
+func TestPlanMemoNotSharedWithValueCopy(t *testing.T) {
+	schema, _ := testdb.Build(1)
+	cm := engine.DefaultCostModel()
+	o, ref := New(schema, cm), NewUncached(schema, cm)
+	cfg := index.NewConfig()
+	cfg.Add(index.New("orders", []string{"o_custkey", "o_date"}, []string{"o_total"}))
+	cfg.Add(index.New("customer", []string{"c_nation"}, nil))
+
+	src := cacheTestQueries()[3] // orders ⋈ customer, c_nation filter
+	srcPlan, err := o.ChoosePlan(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *src
+	cp.Filters = []query.Predicate{
+		{Table: "orders", Column: "o_custkey", Op: query.OpEq, Lo: 17, Hi: 17},
+		{Table: "orders", Column: "o_date", Op: query.OpRange, Lo: 0, Hi: 50},
+	}
+	want, err := ref.ChoosePlan(&cp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := o.ChoosePlan(&cp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Query != &cp || !reflect.DeepEqual(got, want) {
+		t.Fatalf("value copy reused its source's memo:\ngot  %+v\nwant %+v", got, want)
+	}
+	if reflect.DeepEqual(got.Driver, srcPlan.Driver) && got.EstCost == srcPlan.EstCost {
+		t.Fatal("copy and source plan alike; the test cannot tell a reused memo apart")
+	}
+	if again, _ := o.ChoosePlan(src, cfg); again != srcPlan {
+		t.Fatal("planning the copy disturbed the source's memo")
 	}
 }

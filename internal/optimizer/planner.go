@@ -26,7 +26,7 @@ type Optimizer struct {
 // New returns an optimiser over the schema with the given cost model,
 // its plan cache enabled.
 func New(schema *catalog.Schema, cm *engine.CostModel) *Optimizer {
-	return &Optimizer{Schema: schema, CM: cm, cache: newPlanCache()}
+	return &Optimizer{Schema: schema, CM: cm, cache: &planCache{}}
 }
 
 // NewUncached returns an optimiser that re-runs the full greedy search

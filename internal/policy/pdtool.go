@@ -24,13 +24,28 @@ type pdtoolPolicy struct {
 	regime      string
 	cfg         *index.Config
 
-	history []*query.Query   // previous round's workload
-	windows [][]*query.Query // all observed rounds, oldest first
+	// windows holds the last pdtoolTrainWindow observed rounds, oldest
+	// first: nothing older is ever trained on, so nothing older is kept
+	// alive or checkpointed.
+	windows [][]*query.Query
 }
 
 // pdtoolTrainWindow is the number of trailing observed rounds used as
 // the training workload in the random regime.
 const pdtoolTrainWindow = 4
+
+// trailingWindows trims ws to its last pdtoolTrainWindow entries in
+// place, clearing the vacated slots so the backing array holds no
+// dropped round.
+func trailingWindows(ws [][]*query.Query) [][]*query.Query {
+	n := len(ws) - pdtoolTrainWindow
+	if n <= 0 {
+		return ws
+	}
+	k := copy(ws, ws[n:])
+	clear(ws[k:])
+	return ws[:k]
+}
 
 func newPDTool(e Env, p Params) (Policy, error) {
 	return &pdtoolPolicy{
@@ -87,26 +102,21 @@ func (p *pdtoolPolicy) Name() string { return "pdtool" }
 
 func (p *pdtoolPolicy) Recommend(round int, lastWorkload []*query.Query) Recommendation {
 	if lastWorkload != nil {
-		p.history = lastWorkload
-		p.windows = append(p.windows, lastWorkload)
+		p.windows = trailingWindows(append(p.windows, lastWorkload))
 	}
 	if !p.invocations[round] {
 		return Recommendation{Config: p.cfg}
 	}
 	var training []*query.Query
 	if p.regime == "random" {
-		start := len(p.windows) - pdtoolTrainWindow
-		if start < 0 {
-			start = 0
-		}
-		for _, w := range p.windows[start:] {
+		for _, w := range p.windows {
 			training = append(training, w...)
 		}
-	} else {
+	} else if len(p.windows) > 0 {
 		// Static and shifting: the previous round's queries are
 		// representative of what's to come (the paper's
 		// PDTool-favourable assumption).
-		training = p.history
+		training = p.windows[len(p.windows)-1]
 	}
 	rec := p.advisor.Recommend(training)
 	p.cfg = rec.Config
@@ -118,12 +128,13 @@ func (p *pdtoolPolicy) Observe([]*engine.ExecStats, map[string]float64) {}
 func (p *pdtoolPolicy) Close() {}
 
 // pdtoolSnapshot is the offline tool's serialisable state: the current
-// configuration and the observed workload history the scheduled
+// configuration and the trailing observed rounds the scheduled
 // retrainings draw from. The advisor itself is stateless and the
-// invocation schedule derives from the environment.
+// invocation schedule derives from the environment. Older images also
+// carry a History field (a copy of the last window) and every observed
+// round; decoding ignores the one and Restore trims the other.
 type pdtoolSnapshot struct {
 	Config  []index.Def      `json:",omitempty"`
-	History []*query.Query   `json:",omitempty"`
 	Windows [][]*query.Query `json:",omitempty"`
 }
 
@@ -131,7 +142,6 @@ type pdtoolSnapshot struct {
 func (p *pdtoolPolicy) Snapshot() (json.RawMessage, error) {
 	return json.Marshal(&pdtoolSnapshot{
 		Config:  p.cfg.Defs(),
-		History: p.history,
 		Windows: p.windows,
 	})
 }
@@ -143,8 +153,7 @@ func (p *pdtoolPolicy) Restore(raw json.RawMessage) error {
 		return fmt.Errorf("pdtool policy snapshot: %w", err)
 	}
 	p.cfg = index.ConfigFromDefs(snap.Config)
-	p.history = snap.History
-	p.windows = snap.Windows
+	p.windows = trailingWindows(snap.Windows)
 	return nil
 }
 

@@ -120,7 +120,9 @@ type ColumnRef struct {
 	Table, Column string
 }
 
-// Query is one conjunctive analytical query instance.
+// Query is one conjunctive analytical query instance. Its lazy memos
+// (the signature and the optimiser's plan memo) are filled on first use
+// without locking, so an instance's first use is single-goroutine.
 type Query struct {
 	// TemplateID identifies the query template this instance was drawn
 	// from; the tuner's query store aggregates per template.
@@ -140,7 +142,17 @@ type Query struct {
 	// sig memoises Signature: the shape never changes after construction,
 	// and the query store plus the arm generator both ask per round.
 	sig string
+	// planMemo is the optimiser's per-instance plan memo, so it lives and
+	// dies with the instance. A value copy carries the pointer, which is
+	// why the optimiser checks the memo's owner before using it.
+	planMemo any
 }
+
+// PlanMemo returns the value SetPlanMemo attached, nil if none.
+func (q *Query) PlanMemo() any { return q.planMemo }
+
+// SetPlanMemo attaches the optimiser's plan memo to the instance.
+func (q *Query) SetPlanMemo(m any) { q.planMemo = m }
 
 // FiltersOn returns the filter predicates on one table.
 func (q *Query) FiltersOn(table string) []Predicate {
