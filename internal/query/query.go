@@ -122,7 +122,8 @@ type ColumnRef struct {
 
 // Query is one conjunctive analytical query instance. Its lazy memos
 // (the signature and the optimiser's plan memo) are filled on first use
-// without locking, so an instance's first use is single-goroutine.
+// without locking, so an instance's first use is single-goroutine, and
+// two optimisers must not plan one instance at the same time.
 type Query struct {
 	// TemplateID identifies the query template this instance was drawn
 	// from; the tuner's query store aggregates per template.
